@@ -6,8 +6,8 @@ The fermionant with parameter k of an n x n matrix A is
 
 so k = 1 recovers the determinant.  Three routes are provided:
 
-* ``brute``     -- factorial enumeration of permutations (n <= 9); the
-                   definition itself, used as the oracle for the others.
+* ``brute``     -- the definition itself, read off the class sums w_mu
+                   (n <= 9); the oracle for the others.
 * ``dp``        -- subset dynamic programming over directed cycle covers
                    (n <= 20): first the weight sum C(S) of single cycles with
                    vertex set exactly S through min(S), then covers combined
@@ -16,6 +16,12 @@ so k = 1 recovers the determinant.  Three routes are provided:
                    with at most k rows of (semistandard tableau count of lam)
                    * (immanant of the transposed diagram), for integer k >= 1.
 
+The class sums w_mu (for each cycle type mu, the weight summed over the
+permutations of that type) come from the package's one permutation sweep, a
+depth-first search that prunes at zero entries.  It is memoised on the last
+matrix, so ``brute``, ``fermionant_cycle_poly``, ``cycle_type_weight_sums``,
+``immanant`` and ``immanants`` share a single sweep per matrix.
+
 All arithmetic is exact; capacity bounds are keyword-tunable with the safe
 defaults given above.  Everything here is a pure function; the dp route is
 sequential and deterministic.
@@ -23,8 +29,8 @@ sequential and deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .characters import character
 from .errors import CapacityError
@@ -47,12 +53,12 @@ class Matrix:
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
-        for r in rows:
+        for i, r in enumerate(rows):
             if len(r) != n:
                 raise ValueError(f"matrix must be square, got row of length {len(r)} in dimension {n}")
-            for v in r:
-                if not isinstance(v, int):
-                    raise ValueError(f"entries must be integers, got {v!r}")
+            for j, v in enumerate(r):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(f"entry ({i}, {j}) must be an integer, got {v!r}")
 
     @property
     def n(self) -> int:
@@ -124,71 +130,100 @@ def permanent(a: Matrix, *, max_n: int = PERMANENT_DEFAULT_MAX_N) -> int:
     return sign * total
 
 
+@lru_cache(maxsize=1)
+def _class_sums(a: Matrix) -> tuple[tuple[Partition, int], ...]:
+    """For each cycle type mu, the sum of prod A[i, pi(i)] over the
+    permutations of type mu with nonzero weight; the package's one sweep.
+
+    Row i goes to a free column depth first, and a zero entry prunes its
+    whole subtree.  The placed arcs form chains head -> ... -> tail; row i is
+    always a tail and a free column always a head, so each arc closes a cycle
+    or joins two chains in O(1).  A cycle type is carried as the integer key
+    sum of (n+1)^length over its cycles.  The result is a tuple, so callers
+    cannot corrupt the memo.
+    """
+    n = a.n
+    if n == 0:
+        return ((Partition(()), 1),)
+    rows = a.rows
+    nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+    power = [(n + 1) ** length for length in range(n + 1)]
+    head = list(range(n))  # head[t] of the chain ending at tail t
+    tail = list(range(n))  # tail[h] of the chain starting at head h
+    size = [1] * n  # size[h]: vertices on the chain starting at head h
+    free = [True] * n
+    last = n - 1
+    last_row = rows[last]
+    sums: dict[int, int] = {}
+
+    def extend(i: int, w: int, key: int) -> None:
+        h = head[i]
+        if i == last:  # one free column is left, and it closes the chain
+            x = last_row[h]
+            if x:
+                key += power[size[h]]
+                sums[key] = sums.get(key, 0) + w * x
+            return
+        for j, x in nonzero[i]:
+            if not free[j]:
+                continue
+            free[j] = False
+            if j == h:
+                extend(i + 1, w * x, key + power[size[h]])
+            else:
+                t = tail[j]
+                tail[h] = t
+                head[t] = h
+                size_h = size[h]
+                size[h] = size_h + size[j]
+                extend(i + 1, w * x, key)
+                tail[h] = i
+                head[t] = j
+                size[h] = size_h
+            free[j] = True
+
+    extend(0, 1, 0)
+    # extend refers to itself through its closure; breaking that cycle frees
+    # the search state now rather than at the next cyclic collection, which
+    # otherwise lets one dead state per matrix pile up and raise peak memory
+    del extend
+    return tuple((_decode_cycle_type(key, n), w) for key, w in sums.items())
+
+
+def _decode_cycle_type(key: int, n: int) -> Partition:
+    """Inverse of the key sum of (n+1)^length: base-(n+1) digit l counts the
+    cycles of length l."""
+    parts: list[int] = []
+    for length in range(n, 0, -1):
+        parts.extend([length] * (key // (n + 1) ** length % (n + 1)))
+    return Partition(tuple(parts))
+
+
 def fermionant_cycle_poly(a: Matrix, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> UniPolynomial:
     """f(z) = sum over permutations of z^(cycle count) * prod A[i, pi(i)].
 
     f(1) is the permanent, (-1)^n f(-1) the determinant, and the fermionant
-    is (-1)^n f(-k).
+    is (-1)^n f(-k).  Read off the memoised class sums: f = sum over cycle
+    types mu of w_mu z^depth(mu).
     """
     n = a.n
     if n > max_n:
         raise CapacityError(f"cycle polynomial enumeration limited to n <= {max_n}, got {n}")
-    rows = a.rows
     coeffs = [0] * (n + 1)
-    rng = range(n)
-    for p in itertools.permutations(rng):
-        w = 1
-        for i in rng:
-            w *= rows[i][p[i]]
-            if not w:
-                break
-        if not w:
-            continue
-        seen = [False] * n
-        c = 0
-        for i in rng:
-            if not seen[i]:
-                c += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-        coeffs[c] += w
+    for mu, w in _class_sums(a):
+        coeffs[mu.depth] += w
     return UniPolynomial(tuple(coeffs))
 
 
 def cycle_type_weight_sums(a: Matrix, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> dict[Partition, int]:
     """For each cycle type mu of n, the sum over permutations of type mu of
-    prod A[i, pi(i)].  One factorial sweep; feeds the immanant."""
+    prod A[i, pi(i)]; types with no permutation of nonzero weight are absent.
+    A fresh dict over the memoised class sums, which also feed the cycle
+    polynomial, so one pruned sweep per matrix serves every route but dp."""
     n = a.n
     if n > max_n:
         raise CapacityError(f"class-sum enumeration limited to n <= {max_n}, got {n}")
-    rows = a.rows
-    sums: dict[tuple[int, ...], int] = {}
-    rng = range(n)
-    for p in itertools.permutations(rng):
-        w = 1
-        for i in rng:
-            w *= rows[i][p[i]]
-            if not w:
-                break
-        if not w:
-            continue
-        seen = [False] * n
-        lengths = []
-        for i in rng:
-            if not seen[i]:
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-                    length += 1
-                lengths.append(length)
-        lengths.sort(reverse=True)
-        key = tuple(lengths)
-        sums[key] = sums.get(key, 0) + w
-    return {Partition(k): v for k, v in sums.items()}
+    return dict(_class_sums(a))
 
 
 def _fermionant_brute(a: Matrix, k: int, max_n: int) -> int:

@@ -6,6 +6,8 @@ Each test prints a single ``<criterion>: PASS`` / ``FAIL`` line; run with
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 import time
@@ -43,6 +45,10 @@ from fermionant import (
 )
 
 from oracles import ssyt_count_brute, syt_count_brute
+
+# sha256 of the compact ``fermionant verify --seed 42`` payload: any refactor
+# must leave these bytes unchanged
+GOLDEN_VERIFY_SEED_42_SHA256 = "6471b7d93c89c7fd27a02ead5507dcf8c770085f806edc94a464d6c134f5f55a"
 
 
 @contextmanager
@@ -204,3 +210,5 @@ def test_a10_performance_floor():
         report = verify_suite(42, Limits())
         assert time.perf_counter() - start <= 600.0
         assert report.all_passed
+        payload = json.dumps(report.to_json(), separators=(",", ":")) + "\n"
+        assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN_VERIFY_SEED_42_SHA256

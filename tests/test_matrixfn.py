@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from fermionant import (
     CapacityError,
     Matrix,
     Partition,
+    cycle_type,
+    cycle_type_weight_sums,
     determinant,
     fermionant,
     fermionant_cycle_poly,
@@ -29,6 +32,13 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         Matrix(((1.5,),))
     assert Matrix.identity(3).rows[2] == (0, 0, 1)
+
+
+def test_matrix_rejects_bool_entries():
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        Matrix(((True,),))
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        Matrix(((1, 0), (False, 1)))
 
 
 def test_determinant_examples():
@@ -155,6 +165,46 @@ def test_via_immanants_j2_decomposition():
     assert immanant(j2, Partition((2,))) == 2
     assert fermionant_via_immanants(j2, 2) == 3 * 0 + 1 * 2 == 2
     assert fermionant(j2, 2, "brute") == 2
+
+
+def class_sums_by_enumeration(a):
+    """Reference class sums: every permutation, typed by partitions.cycle_type;
+    a type appears once some permutation of it has nonzero weight."""
+    sums = {}
+    for perm in itertools.permutations(range(a.n)):
+        w = 1
+        for i, j in enumerate(perm):
+            w *= a.rows[i][j]
+        if w:
+            mu = cycle_type(perm)
+            sums[mu] = sums.get(mu, 0) + w
+    return sums
+
+
+def test_class_sums_match_enumeration():
+    rng = random.Random(61)
+    for n in range(7):
+        for _ in range(12):
+            a = Matrix(tuple(tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)) for _ in range(n)))
+            assert cycle_type_weight_sums(a) == class_sums_by_enumeration(a)
+    assert cycle_type_weight_sums(Matrix(())) == {Partition(()): 1}
+    # the two 3-cycles have weights +1 and -1: the class sum cancels to zero
+    # but stays a key, and no other type has a nonzero-weight permutation
+    cancel = Matrix(((0, 1, 1), (-1, 0, 1), (1, 1, 0)))
+    assert cycle_type_weight_sums(cancel) == {Partition((3,)): 0}
+    assert class_sums_by_enumeration(cancel) == {Partition((3,)): 0}
+
+
+def test_class_sums_memo_is_not_shared_or_bypassed():
+    a = Matrix(((1, 2, 0), (0, 3, 1), (4, 0, 5)))
+    expected = class_sums_by_enumeration(a)
+    sums = cycle_type_weight_sums(a)
+    sums[Partition((1, 1, 1))] += 7
+    assert cycle_type_weight_sums(a) == expected
+    with pytest.raises(CapacityError):
+        cycle_type_weight_sums(a, max_n=2)
+    with pytest.raises(CapacityError):
+        fermionant_cycle_poly(a, max_n=2)
 
 
 def test_cycle_poly_capacity():
