@@ -10,8 +10,11 @@ so k = 1 recovers the determinant.  Three routes are provided:
                    (n <= 9); the oracle for the others.
 * ``dp``        -- subset dynamic programming over directed cycle covers
                    (n <= 20): first the weight sum C(S) of single cycles with
-                   vertex set exactly S through min(S), then covers combined
-                   one cycle at a time, each cycle weighted -k.
+                   vertex set exactly S through min(S), which does not depend
+                   on k and is memoised on the last matrix; then covers
+                   combined one cycle at a time, each cycle weighted -k, over
+                   the sets without vertex 0 and the full set, the only sets
+                   peeling a cycle off the full set can leave.
 * ``immanants`` -- the character expansion: sum over Young diagrams lam of n
                    with at most k rows of (semistandard tableau count of lam)
                    * (immanant of the transposed diagram), for integer k >= 1.
@@ -29,6 +32,7 @@ sequential and deterministic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -232,32 +236,40 @@ def _fermionant_brute(a: Matrix, k: int, max_n: int) -> int:
     return -value if a.n % 2 else value
 
 
-def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
-    n = a.n
-    if n > max_n:
-        raise CapacityError(f"dp fermionant limited to n <= {max_n}, got {n}")
-    if n == 0:
-        return 1
-    rows = a.rows
-    full = (1 << n) - 1
+@lru_cache(maxsize=1)
+def _cycle_sums(a: Matrix) -> tuple[int, ...]:
+    """C[S]: the weight sum of the single directed cycles with vertex set
+    exactly S that pass through min(S).  It does not depend on k, so it is
+    memoised on the last matrix and the dp pays for it once per matrix
+    rather than once per k.
 
-    # C[mask] = weight sum of single directed cycles with vertex set exactly
-    # mask, passing through its lowest vertex; 1-cycles take the diagonal.
-    C = [0] * (full + 1)
+    For each lowest vertex m, paths from m with interior above m are grown
+    breadth first by vertex set; a set's cycles are closed back to m as soon
+    as its paths are complete, and its paths are then dropped, so only about
+    two popcount layers are held at a time.  Closing the empty path at m
+    gives the 1-cycle, the diagonal entry.
+    """
+    n = a.n
+    rows = a.rows
+    C = [0] * (1 << n)
     for m in range(n):
-        C[1 << m] = rows[m][m]
+        bit_m = 1 << m
         higher = range(m + 1, n)
         # paths[mask][j]: weight sum of simple paths m -> j with interior in
-        # `higher`, mask over the vertices above m that the path uses.
+        # `higher`, mask over the vertices above m that the path uses.  Every
+        # path into mask comes from a set one vertex smaller, which the queue
+        # finishes first, so paths[mask] is complete when mask is dequeued.
         paths: dict[int, dict[int, int]] = {0: {m: 1}}
-        masks = [0]
-        idx = 0
-        while idx < len(masks):
-            mask = masks[idx]
-            idx += 1
-            ends = paths[mask]
-            for j, w in list(ends.items()):
+        queue = deque((0,))
+        while queue:
+            mask = queue.popleft()
+            ends = paths.pop(mask)
+            s = 0
+            for j, w in ends.items():
                 row_j = rows[j]
+                wa = row_j[m]
+                if wa:
+                    s += w * wa
                 for l in higher:
                     bit = 1 << l
                     if mask & bit:
@@ -269,25 +281,30 @@ def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
                     d = paths.get(nm)
                     if d is None:
                         paths[nm] = {l: w * wa}
-                        masks.append(nm)
+                        queue.append(nm)
                     else:
                         d[l] = d.get(l, 0) + w * wa
-        for mask, ends in paths.items():
-            if mask == 0:
-                continue
-            s = 0
-            for j, w in ends.items():
-                wa = rows[j][m]
-                if wa:
-                    s += w * wa
             if s:
-                C[mask | (1 << m)] = s
+                C[mask | bit_m] = s
+    return tuple(C)
 
-    # covers: peel off the cycle through the lowest vertex of each subset
+
+def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
+    n = a.n
+    if n > max_n:
+        raise CapacityError(f"dp fermionant limited to n <= {max_n}, got {n}")
+    if n == 0:
+        return 1
+    C = _cycle_sums(a)
+    full = (1 << n) - 1
+
+    # covers: peel off the cycle through the lowest vertex of each subset.
+    # Peeling the full set leaves only sets without vertex 0, and peeling
+    # those leaves only their subsets, so no other set is ever read.
     negk = -k
     F = [0] * (full + 1)
     F[0] = 1
-    for S in range(1, full + 1):
+    for S in (*range(2, full, 2), full):
         low = S & (-S)
         rest = S ^ low
         acc = 0

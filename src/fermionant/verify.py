@@ -32,10 +32,17 @@ from .characters import character, schur_weyl_expand
 from .errors import CapacityError
 from .generators import exhaustive_plane_graphs, generate_eulerian_digraph, generate_plane_graph
 from .graphio import write_graph, write_matrix
-from .graphpoly import circuit_partition_poly, martin_rhs, tutte, tutte_diagonal
+from .graphpoly import TUTTE_DEFAULT_MAX_EDGES, circuit_partition_poly, martin_rhs, tutte, tutte_diagonal
 from .graphs import Multigraph, PlaneGraph, adjacency_matrix, connected_components
 from .hamilton import count_hamiltonian_cycles
-from .matrixfn import BRUTE_DEFAULT_MAX_N, Matrix, determinant, fermionant, fermionant_via_immanants
+from .matrixfn import (
+    BRUTE_DEFAULT_MAX_N,
+    DP_DEFAULT_MAX_N,
+    Matrix,
+    determinant,
+    fermionant,
+    fermionant_via_immanants,
+)
 from .partitions import all_partitions
 from .transforms import bicycle_dimension, ferm2_medial_closed_form, line_digraph, medial
 
@@ -307,19 +314,24 @@ def verify_suite(
 ) -> VerificationReport:
     """Run identity families I1-I8; deterministic in (seed, limits).
 
-    Raises ``CapacityError`` before any family runs when ``limits.max_n``
-    exceeds what the brute and immanant routes of I2 accept.
+    Raises ``CapacityError`` before any family runs when a limit exceeds
+    the default cap of the route it feeds: ``max_n`` the brute and immanant
+    routes of I2, ``max_edges`` deletion-contraction Tutte (I4, I8) and
+    ``max_arcs`` the dp on the line digraph (I5), whose vertices are arcs.
+    A capacity limit is thus never reported as an identity violation.
 
     ``medial_fn`` substitutes the medial construction in the families that
     use one; it exists so tests can confirm the harness catches a corrupted
     transform.
     """
     limits = limits or Limits()
-    if limits.max_n > BRUTE_DEFAULT_MAX_N:
-        raise CapacityError(
-            f"verify max_n limited to {BRUTE_DEFAULT_MAX_N} by the brute and immanant routes, "
-            f"got {limits.max_n}"
-        )
+    for name, value, cap, route in (
+        ("max_n", limits.max_n, BRUTE_DEFAULT_MAX_N, "the brute and immanant routes"),
+        ("max_edges", limits.max_edges, TUTTE_DEFAULT_MAX_EDGES, "deletion-contraction Tutte"),
+        ("max_arcs", limits.max_arcs, DP_DEFAULT_MAX_N, "the dp fermionant of the line digraph"),
+    ):
+        if value > cap:
+            raise CapacityError(f"verify {name} limited to {cap} by {route}, got {value}")
     md = medial_fn if medial_fn is not None else medial
     report = VerificationReport(seed, limits)
     report.identities.append(_run_family("ferm1-equals-det", _i1_determinant(seed, limits)))

@@ -167,11 +167,12 @@ def test_verify_subcommand_deterministic(capsys):
 def test_verify_capacity_exits_3_before_any_family(capsys, monkeypatch):
     families = []
     monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
-    code, out, err = run(capsys, ["verify", "--seed", "1", "--max-n", "10"])
-    assert code == 3
-    assert out == ""
-    assert "capacity" in err
-    assert families == []
+    for limit in (["--max-n", "10"], ["--max-edges", "15"]):
+        code, out, err = run(capsys, ["verify", "--seed", "1", *limit])
+        assert code == 3
+        assert out == ""
+        assert "capacity" in err
+        assert families == []
 
 
 def test_verify_violation_exits_4(capsys, monkeypatch):

@@ -18,6 +18,7 @@ from fermionant import (
     immanant,
     permanent,
 )
+from fermionant import matrixfn
 
 from oracles import cycle_cover_fermionant_brute
 
@@ -87,16 +88,38 @@ def test_fermionant_examples():
     assert fermionant(c5, 2, "brute") == 4
 
 
+def sparse_matrices(rng, n):
+    """Zero-heavy inputs: about 70% zeros, a zero diagonal, a permutation
+    matrix and a two-block diagonal matrix."""
+    entries = (1, -1, 2, -3)
+
+    def entry():
+        return 0 if rng.random() < 0.7 else rng.choice(entries)
+
+    yield Matrix(tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+    yield Matrix(tuple(tuple(0 if i == j else rng.choice(entries) for j in range(n)) for i in range(n)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    yield Matrix(tuple(tuple(rng.choice(entries) if j == perm[i] else 0 for j in range(n)) for i in range(n)))
+    cut = rng.randint(0, n)
+    yield Matrix(
+        tuple(
+            tuple(rng.choice(entries) if (i < cut) == (j < cut) else 0 for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
 def test_fermionant_matches_independent_definition():
     rng = random.Random(5)
-    for n in range(1, 6):
-        for _ in range(10):
-            a = random_matrix(rng, n)
-            rows = [list(r) for r in a.rows]
-            for k in (-2, 1, 2, 3):
-                expected = cycle_cover_fermionant_brute(rows, k)
-                assert fermionant(a, k, "brute") == expected
-                assert fermionant(a, k, "dp") == expected
+    cases = [random_matrix(rng, n) for n in range(1, 6) for _ in range(10)]
+    cases += [a for n in range(8) for _ in range(2) for a in sparse_matrices(rng, n)]
+    for a in cases:
+        rows = [list(r) for r in a.rows]
+        for k in (-2, 0, 1, 2, 3):
+            expected = cycle_cover_fermionant_brute(rows, k)
+            assert fermionant(a, k, "brute") == expected
+            assert fermionant(a, k, "dp") == expected
 
 
 def test_route_agreement():
@@ -205,6 +228,25 @@ def test_class_sums_memo_is_not_shared_or_bypassed():
         cycle_type_weight_sums(a, max_n=2)
     with pytest.raises(CapacityError):
         fermionant_cycle_poly(a, max_n=2)
+
+
+def test_dp_cycle_sums_are_memoised_per_matrix():
+    rng = random.Random(71)
+    a, b = random_matrix(rng, 6), random_matrix(rng, 6)
+    expected = {
+        (m, k): cycle_cover_fermionant_brute([list(r) for r in m.rows], k) for m in (a, b) for k in (1, 2, 3)
+    }
+    matrixfn._cycle_sums.cache_clear()
+    misses = matrixfn._cycle_sums.cache_info().misses
+    for k in (1, 2, 3):
+        assert fermionant(a, k, "dp") == expected[a, k]
+    assert matrixfn._cycle_sums.cache_info().misses == misses + 1
+    assert isinstance(matrixfn._cycle_sums(a), tuple)
+    for k in (1, 2, 3):
+        for m in (a, b):
+            assert fermionant(m, k, "dp") == expected[m, k]
+    with pytest.raises(CapacityError):
+        fermionant(b, 2, "dp", dp_max_n=5)
 
 
 def test_cycle_poly_capacity():

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 
-from fermionant import Digraph, Limits, medial, verify_suite
+import pytest
+
+from fermionant import CapacityError, Digraph, Limits, medial, verify_suite
 import fermionant.verify as verify_module
 
 
@@ -78,3 +80,12 @@ def test_medial_fn_hook_uses_module_default(monkeypatch):
     monkeypatch.setattr(verify_module, "medial", spy)
     verify_suite(1, Limits(max_n=2, max_edges=2, trials=1, max_arcs=2))
     assert calls
+
+
+def test_limits_above_route_caps_raise_before_any_family(monkeypatch):
+    families = []
+    monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
+    for limits in (Limits(max_n=10), Limits(max_edges=15), Limits(max_arcs=21)):
+        with pytest.raises(CapacityError):
+            verify_suite(1, limits)
+    assert families == []
