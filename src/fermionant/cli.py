@@ -5,8 +5,9 @@ human-readable summary goes to stderr.  Values that can outgrow a double
 (fermionants, immanants, polynomial coefficients, Tutte evaluations, cycle
 counts) are serialized as decimal strings.
 
-Exit status: 0 on success, 2 on input or parse errors, 3 on capacity
-errors, 4 when ``verify`` finds an identity violation.
+Exit status: 0 on success, 1 on an internal-consistency failure (a bug,
+not bad input), 2 on input or parse errors, 3 on capacity errors, 4 when
+``verify`` finds an identity violation.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def _load_graph(path: str, *kinds: type) -> Any:
     raise FormatError(f"{path}: expected a {wanted} document, got {type(graph).__name__}")
 
 
+def _load_multigraph(path: str) -> Multigraph:
+    """A Multigraph document, or the graph under a PlaneGraph's rotations."""
+    graph = _load_graph(path, Multigraph, PlaneGraph)
+    return graph.graph if isinstance(graph, PlaneGraph) else graph
+
+
 def _emit(payload: dict[str, Any], summary: str) -> None:
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
     sys.stderr.write(summary + "\n")
@@ -70,9 +77,7 @@ def _cmd_imm(args: argparse.Namespace) -> int:
 
 
 def _cmd_tutte(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph, Multigraph, PlaneGraph)
-    if isinstance(graph, PlaneGraph):
-        graph = graph.graph
+    graph = _load_multigraph(args.graph)
     poly = tutte_subgraph_sum(graph) if args.oracle else tutte(graph)
     payload: dict[str, Any] = {
         "num_vertices": graph.num_vertices,
@@ -128,27 +133,21 @@ def _cmd_line_digraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_bicycle_dim(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph, Multigraph, PlaneGraph)
-    if isinstance(graph, PlaneGraph):
-        graph = graph.graph
+    graph = _load_multigraph(args.graph)
     dim = bicycle_dimension(graph)
     _emit({"dimension": dim}, f"bicycle space dimension = {dim}")
     return 0
 
 
 def _cmd_ham_count(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph, Multigraph, PlaneGraph)
-    if isinstance(graph, PlaneGraph):
-        graph = graph.graph
+    graph = _load_multigraph(args.graph)
     count = count_hamiltonian_cycles(graph)
     _emit({"count": str(count)}, f"hamiltonian cycles: {count}")
     return 0
 
 
 def _cmd_ham_parity(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph, Multigraph, PlaneGraph)
-    if isinstance(graph, PlaneGraph):
-        graph = graph.graph
+    graph = _load_multigraph(args.graph)
     parity = ham_parity_via_ferm2(graph)
     _emit({"parity": parity}, f"hamiltonian-cycle parity via Ferm_2: {parity}")
     return 0

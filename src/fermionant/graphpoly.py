@@ -28,7 +28,14 @@ import itertools
 from math import comb, factorial
 
 from .errors import CapacityError
-from .graphs import Digraph, Multigraph, PlaneGraph, connected_components
+from .graphs import (
+    Digraph,
+    Multigraph,
+    PlaneGraph,
+    _fundamental_cycles,
+    _union_find,
+    connected_components,
+)
 from .polynomials import BivarPolynomial, UniPolynomial
 
 SUBGRAPH_SUM_DEFAULT_MAX_EDGES = 16
@@ -36,22 +43,20 @@ TUTTE_DEFAULT_MAX_EDGES = 14
 TRANSITION_DEFAULT_MAX_SYSTEMS = 10**7
 
 
-def _component_count(num_vertices: int, edges: list[tuple[int, int]]) -> int:
-    parent = list(range(num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = num_vertices
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            count -= 1
-    return count
+def _subgraph_tally(graph: Multigraph) -> dict[tuple[int, int], int]:
+    """Spanning subgraphs (V, S) counted by (c(S) - c(G), c(S) + |S| - |V|),
+    the exponent pair of the subgraph sum; enumerates all 2^|E| subsets."""
+    n = graph.num_vertices
+    edges = graph.edges
+    m = len(edges)
+    c_full, _ = _union_find(n, edges)
+    tally: dict[tuple[int, int], int] = {}
+    for mask in range(1 << m):
+        subset = [edges[i] for i in range(m) if mask >> i & 1]
+        c, _ = _union_find(n, subset)
+        key = (c - c_full, c + len(subset) - n)
+        tally[key] = tally.get(key, 0) + 1
+    return tally
 
 
 def tutte_subgraph_sum(
@@ -62,18 +67,8 @@ def tutte_subgraph_sum(
     m = graph.num_edges
     if m > max_edges:
         raise CapacityError(f"subgraph sum limited to {max_edges} edges, got {m}")
-    n = graph.num_vertices
-    edges = list(graph.edges)
-    c_full = _component_count(n, edges)
-    # tally subsets by exponent pair, then expand the binomials once
-    tally: dict[tuple[int, int], int] = {}
-    for mask in range(1 << m):
-        subset = [edges[i] for i in range(m) if mask >> i & 1]
-        c = _component_count(n, subset)
-        key = (c - c_full, c + len(subset) - n)
-        tally[key] = tally.get(key, 0) + 1
     coeffs: dict[tuple[int, int], int] = {}
-    for (a, b), count in tally.items():
+    for (a, b), count in _subgraph_tally(graph).items():
         for i in range(a + 1):
             xa = comb(a, i) * (-1) ** (a - i)
             for j in range(b + 1):
@@ -84,28 +79,13 @@ def tutte_subgraph_sum(
 
 
 def _bridges(num_vertices: int, edges: list[tuple[int, int]]) -> set[int]:
-    """Ids of bridge edges.  An edge is a bridge iff it is not a loop and
-    removing it separates its endpoints."""
-    out = set()
-    for eid, (u, v) in enumerate(edges):
-        if u == v:
-            continue
-        rest = [e for i, e in enumerate(edges) if i != eid]
-        parent = list(range(num_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in rest:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        if find(u) != find(v):
-            out.add(eid)
-    return out
+    """Ids of bridge edges, the edges on no cycle.  Every edge outside the
+    spanning forest lies on its own fundamental cycle, so these are the
+    forest edges that no fundamental cycle covers."""
+    on_cycle = 0
+    for mask in _fundamental_cycles(num_vertices, edges):
+        on_cycle |= mask
+    return {eid for eid in range(len(edges)) if not on_cycle >> eid & 1}
 
 
 def tutte(graph: Multigraph, *, max_edges: int = TUTTE_DEFAULT_MAX_EDGES) -> BivarPolynomial:
@@ -157,20 +137,7 @@ def tutte_diagonal(
     m = graph.num_edges
     if m > max_edges:
         raise CapacityError(f"diagonal sum limited to {max_edges} edges, got {m}")
-    n = graph.num_vertices
-    edges = list(graph.edges)
-    c_full = _component_count(n, edges)
-    base = x - 1
-    total = 0
-    powers: dict[int, int] = {}
-    for mask in range(1 << m):
-        subset = [edges[i] for i in range(m) if mask >> i & 1]
-        c = _component_count(n, subset)
-        e = 2 * c + len(subset) - n - c_full
-        if e not in powers:
-            powers[e] = base**e
-        total += powers[e]
-    return total
+    return sum(count * (x - 1) ** (a + b) for (a, b), count in _subgraph_tally(graph).items())
 
 
 def circuit_partition_poly(

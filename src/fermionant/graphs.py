@@ -23,12 +23,17 @@ relation  vertices - edges + faces = 2.  (With all edges in one component
 this is the familiar |V| - |E| + |F| = 1 + components, isolated vertices
 included.)  Constructors reject rotation systems that violate it.
 
+Connectivity has one home here: a union-find gives component counts and
+labels, and a depth-first spanning forest gives the fundamental cycles that
+the bridge test and the bicycle space read.
+
 All graph values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from .errors import FormatError
 from .matrixfn import Matrix
@@ -217,13 +222,13 @@ def faces(plane: PlaneGraph) -> list[tuple[HalfEdge, ...]]:
     return walks
 
 
-def connected_components(graph: Multigraph | Digraph) -> tuple[int, list[int]]:
-    """Component count (isolated vertices included) and a vertex labeling
-    with labels 0..count-1 in order of first appearance.  Arc direction is
-    ignored for digraphs."""
-    n = graph.num_vertices
-    pairs = graph.edges if isinstance(graph, Multigraph) else graph.arcs
-    parent = list(range(n))
+def _union_find(
+    num_vertices: int, pairs: Iterable[tuple[int, int]]
+) -> tuple[int, Callable[[int], int]]:
+    """Component count of the graph on vertices 0..num_vertices-1 with the
+    given endpoint pairs (isolated vertices included), and ``find`` of the
+    merged union-find, which maps every vertex to its component's root."""
+    parent = list(range(num_vertices))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -231,10 +236,53 @@ def connected_components(graph: Multigraph | Digraph) -> tuple[int, list[int]]:
             x = parent[x]
         return x
 
+    count = num_vertices
     for u, v in pairs:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
+            count -= 1
+    return count, find
+
+
+def _fundamental_cycles(num_vertices: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Fundamental-cycle bitmasks (bit i = pair i) of a spanning forest grown
+    by depth-first search: one per pair outside the forest, loops included,
+    in pair order.  They form a basis of the cycle space, and a pair lies on
+    some cycle exactly when one of them covers it."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
+    for eid, (u, v) in enumerate(pairs):
+        adjacency[u].append((v, eid))
+        adjacency[v].append((u, eid))
+    # tree-path masks from each vertex to its tree's root
+    root_path: list[int | None] = [None] * num_vertices
+    forest = 0
+    for start in range(num_vertices):
+        if root_path[start] is not None:
+            continue
+        root_path[start] = 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y, eid in adjacency[x]:
+                if root_path[y] is None:
+                    root_path[y] = root_path[x] ^ (1 << eid)
+                    forest |= 1 << eid
+                    stack.append(y)
+    return [
+        root_path[u] ^ root_path[v] ^ (1 << eid)
+        for eid, (u, v) in enumerate(pairs)
+        if not forest >> eid & 1
+    ]
+
+
+def connected_components(graph: Multigraph | Digraph) -> tuple[int, list[int]]:
+    """Component count (isolated vertices included) and a vertex labeling
+    with labels 0..count-1 in order of first appearance.  Arc direction is
+    ignored for digraphs."""
+    n = graph.num_vertices
+    pairs = graph.edges if isinstance(graph, Multigraph) else graph.arcs
+    _, find = _union_find(n, pairs)
     labels = [-1] * n
     count = 0
     for v in range(n):

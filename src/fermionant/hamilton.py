@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import CapacityError, ConsistencyError
 from .graphs import Multigraph, adjacency_matrix
-from .matrixfn import fermionant
+from .matrixfn import DP_DEFAULT_MAX_N, fermionant
 
 HAMILTONIAN_DEFAULT_MAX_N = 18
 
@@ -73,7 +73,7 @@ def count_hamiltonian_cycles(graph: Multigraph, *, max_n: int = HAMILTONIAN_DEFA
     return total // 2
 
 
-def ham_parity_via_ferm2(graph: Multigraph, *, max_n: int = 20) -> int:
+def ham_parity_via_ferm2(graph: Multigraph, *, max_n: int = DP_DEFAULT_MAX_N) -> int:
     """Hamiltonian-cycle parity of a simple graph with n >= 5, read off
     Ferm_2 of the adjacency matrix.  Raises ConsistencyError if the computed
     fermionant is not divisible by 4 (impossible for valid input)."""

@@ -20,13 +20,23 @@ for plane graphs.
 
 The bicycle space of a multigraph is the GF(2) intersection of the cycle
 space and the cut (star) space; its dimension controls the Tutte value at
-(-1, -1).  All ranks are computed on edge-indexed bitmasks.
+(-1, -1).  Its cycle basis is the fundamental cycles of the spanning forest
+in ``graphs``; the GF(2) rank that meets it with the cut space lives here,
+on edge-indexed bitmasks (Python ints are unbounded, so one "word" per row
+covers any edge count).
 """
 
 from __future__ import annotations
 
-from .graphs import Digraph, Multigraph, PlaneGraph, adjacency_matrix, connected_components, faces
-from .transforms_util import gf2_rank
+from .graphs import (
+    Digraph,
+    Multigraph,
+    PlaneGraph,
+    _fundamental_cycles,
+    adjacency_matrix,
+    connected_components,
+    faces,
+)
 
 
 def medial(plane: PlaneGraph) -> Digraph:
@@ -55,59 +65,26 @@ def line_digraph(graph: Digraph) -> Digraph:
     return Digraph(len(arcs), tuple(out))
 
 
-def _forest_and_fundamental_cycles(graph: Multigraph) -> tuple[list[int], list[int]]:
-    """Edge ids of a spanning forest and the fundamental-cycle bitmasks of
-    the remaining edges (bit i = edge i)."""
-    n = graph.num_vertices
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    tree: list[int] = []
-    non_tree: list[int] = []
-    for eid, (u, v) in enumerate(graph.edges):
-        ru, rv = find(u), find(v)
-        if u != v and ru != rv:
-            parent[ru] = rv
-            tree.append(eid)
-            adjacency[u].append((v, eid))
-            adjacency[v].append((u, eid))
-        else:
-            non_tree.append(eid)
-
-    # tree-path masks from each vertex to its component root
-    root_path: list[int | None] = [None] * n
-    for start in range(n):
-        if root_path[start] is not None:
-            continue
-        root_path[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y, eid in adjacency[x]:
-                if root_path[y] is None:
-                    root_path[y] = root_path[x] ^ (1 << eid)
-                    stack.append(y)
-
-    cycles = []
-    for eid in non_tree:
-        u, v = graph.edges[eid]
-        mask = 1 << eid
-        if u != v:
-            mask ^= root_path[u] ^ root_path[v]
-        cycles.append(mask)
-    return tree, cycles
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank of the span of the given bitmask vectors over GF(2), by Gaussian
+    elimination keyed on the leading bit."""
+    pivots: dict[int, int] = {}
+    for vec in rows:
+        x = vec
+        while x:
+            msb = x.bit_length() - 1
+            if msb in pivots:
+                x ^= pivots[msb]
+            else:
+                pivots[msb] = x
+                break
+    return len(pivots)
 
 
-def _star_masks(graph: Multigraph) -> list[int]:
-    """Vertex-star cut vectors, omitting one vertex per component.  Loops
-    vanish over GF(2) (both ends at the same vertex)."""
-    _, labels = connected_components(graph)
+def _star_masks(graph: Multigraph, labels: list[int]) -> list[int]:
+    """Vertex-star cut vectors, omitting one vertex per component (given by
+    its ``connected_components`` labels).  Loops vanish over GF(2) (both
+    ends at the same vertex)."""
     first_of_component: set[int] = set()
     chosen: set[int] = set()
     for v in range(graph.num_vertices):
@@ -131,12 +108,12 @@ def bicycle_dimension(graph: Multigraph) -> int:
     dim U + dim W - dim(U + W) with the standard bases."""
     n = graph.num_vertices
     m = graph.num_edges
-    c, _ = connected_components(graph)
+    c, labels = connected_components(graph)
     dim_cycle = m - n + c
     dim_cut = n - c
-    _, cycles = _forest_and_fundamental_cycles(graph)
-    stars = _star_masks(graph)
-    stacked_rank = gf2_rank(cycles + stars)
+    cycles = _fundamental_cycles(n, graph.edges)
+    stars = _star_masks(graph, labels)
+    stacked_rank = _gf2_rank(cycles + stars)
     return dim_cycle + dim_cut - stacked_rank
 
 

@@ -140,10 +140,6 @@ def _random_simple_graph(rng: random.Random, n: int, p: float) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
-def _show(value: Any) -> str:
-    return str(value)
-
-
 def _run_family(
     name: str, checks: Iterator[tuple[dict[str, Any], Any, Any]]
 ) -> IdentityResult:
@@ -167,7 +163,7 @@ def _run_family(
         if lhs == rhs:
             passes += 1
         elif counterexample is None:
-            counterexample = Counterexample(instance, _show(lhs), _show(rhs))
+            counterexample = Counterexample(instance, str(lhs), str(rhs))
     return IdentityResult(name, instances, passes, counterexample, time.perf_counter() - start)
 
 
@@ -202,8 +198,8 @@ def _i2_agreement(seed: int, limits: Limits) -> Iterator[tuple[dict, Any, Any]]:
                 imm = fermionant_via_immanants(a, k)
                 yield (
                     _matrix_instance(a, n=n, k=k),
-                    _show(brute),
-                    _show(dp) if dp == imm else f"dp={dp} immanants={imm}",
+                    str(brute),
+                    str(dp) if dp == imm else f"dp={dp} immanants={imm}",
                 )
 
 
@@ -216,7 +212,7 @@ def _i3_schur_weyl(seed: int, limits: Limits) -> Iterator[tuple[dict, Any, Any]]
                 yield {"n": n, "k": k, "cycle_type": str(mu)}, total, k**mu.depth
 
 
-def _plane_instances(seed: int, family: int, limits: Limits, count: int, max_edges: int):
+def _plane_instances(seed: int, family: int, count: int, max_edges: int):
     for i in range(count):
         yield generate_plane_graph(_child_seed(seed, family, i), max_edges)
 
@@ -225,7 +221,7 @@ def _i4_martin(
     seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]
 ) -> Iterator[tuple[dict, Any, Any]]:
     small = exhaustive_plane_graphs(min(5, limits.max_edges))
-    randoms = _plane_instances(seed, 4, limits, 2 * limits.trials, limits.max_edges)
+    randoms = _plane_instances(seed, 4, 2 * limits.trials, limits.max_edges)
     for g in list(small) + list(randoms):
         lhs = circuit_partition_poly(medial_fn(g))
         rhs = martin_rhs(g)
@@ -262,7 +258,7 @@ def _i6_headline(
     seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]
 ) -> Iterator[tuple[dict, Any, Any]]:
     small = exhaustive_plane_graphs(min(4, limits.max_edges))
-    randoms = _plane_instances(seed, 6, limits, limits.trials, min(6, limits.max_edges))
+    randoms = _plane_instances(seed, 6, limits.trials, min(6, limits.max_edges))
     for g in list(small) + list(randoms):
         a_me = adjacency_matrix(line_digraph(medial_fn(g)))
         c, _ = connected_components(g.graph)
@@ -292,14 +288,14 @@ def _i8_bicycle(
     seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]
 ) -> Iterator[tuple[dict, Any, Any]]:
     small = exhaustive_plane_graphs(min(4, limits.max_edges))
-    randoms = list(_plane_instances(seed, 8, limits, limits.trials, limits.max_edges))
+    randoms = list(_plane_instances(seed, 8, limits.trials, limits.max_edges))
     for g in small + randoms:
         graph = g.graph
         t = tutte(graph)(-1, -1)
         rhs = (-1) ** graph.num_edges * (-2) ** bicycle_dimension(graph)
         yield _graph_instance(graph), t, rhs
     plane_small = exhaustive_plane_graphs(min(3, limits.max_edges))
-    plane_randoms = list(_plane_instances(seed, 88, limits, limits.trials, min(5, limits.max_edges)))
+    plane_randoms = list(_plane_instances(seed, 88, limits.trials, min(5, limits.max_edges)))
     for g in plane_small + plane_randoms:
         a_me = adjacency_matrix(line_digraph(medial_fn(g)))
         lhs = fermionant(a_me, 2, "dp")

@@ -10,6 +10,7 @@ from fermionant import (
     Multigraph,
     PlaneGraph,
     circuit_partition_poly,
+    connected_components,
     martin_rhs,
     tutte,
     tutte_diagonal,
@@ -55,6 +56,40 @@ def test_diagonal_matches_full_polynomial(multigraph_fixtures):
         if g.num_edges <= 8:
             for x in (-2, -1, 0, 2, 3):
                 assert tutte_diagonal(g, x) == tutte(g)(x, x)
+
+
+def test_bridges_match_definition():
+    """A bridge is a non-loop edge whose removal raises the component count;
+    the graphs mix loops, parallel edges, isolated vertices and several
+    components."""
+    from fermionant.graphpoly import _bridges
+
+    rng = random.Random(20)
+    seen = set()
+    for trial in range(400):
+        n = rng.randint(1, 9)
+        edges = tuple(
+            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))
+        )
+        if edges and rng.random() < 0.5:
+            edges += (rng.choice(edges),)
+        c, labels = connected_components(Multigraph(n, edges))
+        expected = {
+            e
+            for e, (u, v) in enumerate(edges)
+            if u != v
+            and connected_components(Multigraph(n, edges[:e] + edges[e + 1 :]))[0] > c
+        }
+        assert _bridges(n, list(edges)) == expected, (n, edges)
+        features = {
+            "bridge": expected,
+            "loop": any(u == v for u, v in edges),
+            "parallel": any(u != v and edges.count((u, v)) > 1 for u, v in edges),
+            "isolated": len({w for e in edges for w in e}) < n,
+            "components": len({labels[u] for u, _ in edges}) > 1,
+        }
+        seen.update(name for name, present in features.items() if present)
+    assert seen == {"bridge", "loop", "parallel", "isolated", "components"}
 
 
 def test_deletion_contraction_consistency():
