@@ -14,7 +14,13 @@ so k = 1 recovers the determinant.  Three routes are provided:
                    on k and is memoised on the last matrix; then covers
                    combined one cycle at a time, each cycle weighted -k, over
                    the sets without vertex 0 and the full set, the only sets
-                   peeling a cycle off the full set can leave.
+                   peeling a cycle off the full set can leave.  A set peels
+                   the cycle through its lowest vertex m either by walking
+                   its submasks or, where m has few nonzero cycles (count_m
+                   * 2^h < 3^h, h the number of vertices above m), by walking
+                   the list of those cycles; so sparse matrices such as
+                   medial line digraphs skip the O(3^n) submask walk, and
+                   dense ones keep it.
 * ``immanants`` -- the character expansion: sum over Young diagrams lam of n
                    with at most k rows of (semistandard tableau count of lam)
                    * (immanant of the transposed diagram), for integer k >= 1.
@@ -237,24 +243,35 @@ def _fermionant_brute(a: Matrix, k: int, max_n: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _cycle_sums(a: Matrix) -> tuple[int, ...]:
-    """C[S]: the weight sum of the single directed cycles with vertex set
-    exactly S that pass through min(S).  It does not depend on k, so it is
-    memoised on the last matrix and the dp pays for it once per matrix
-    rather than once per k.
+def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...] | None, ...]]:
+    """(C, walks).  C[S]: the weight sum of the single directed cycles with
+    vertex set exactly S that pass through min(S).  walks[m]: the nonzero
+    (S, C[S]) with min(S) = m, kept only where walking them is cheaper than
+    walking submasks, else None.  Neither depends on k, so both are memoised
+    on the last matrix and the dp pays for them once per matrix rather than
+    once per k.
 
     For each lowest vertex m, paths from m with interior above m are grown
     breadth first by vertex set; a set's cycles are closed back to m as soon
     as its paths are complete, and its paths are then dropped, so only about
     two popcount layers are held at a time.  Closing the empty path at m
     gives the 1-cycle, the diagonal entry.
+
+    For m > 0 the cover phase visits every set whose lowest vertex is m,
+    2^h of them with h = n-1-m vertices above m; their submask walks take
+    3^h steps in all, and walking a list of count_m cycles instead takes
+    count_m * 2^h.  The list is built only when that is fewer, counted
+    first, so a dense matrix allocates none.  At m = 0 only the full set is
+    visited, and the same rule errs towards the submask walk.
     """
     n = a.n
     rows = a.rows
     C = [0] * (1 << n)
+    walks: list[tuple[tuple[int, int], ...] | None] = [None] * n
     for m in range(n):
         bit_m = 1 << m
         higher = range(m + 1, n)
+        count = 0
         # paths[mask][j]: weight sum of simple paths m -> j with interior in
         # `higher`, mask over the vertices above m that the path uses.  Every
         # path into mask comes from a set one vertex smaller, which the queue
@@ -286,7 +303,11 @@ def _cycle_sums(a: Matrix) -> tuple[int, ...]:
                         d[l] = d.get(l, 0) + w * wa
             if s:
                 C[mask | bit_m] = s
-    return tuple(C)
+                count += 1
+        h = n - 1 - m
+        if count << h < 3**h:
+            walks[m] = tuple((S, C[S]) for S in range(bit_m, 1 << n, bit_m << 1) if C[S])
+    return tuple(C), tuple(walks)
 
 
 def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
@@ -295,28 +316,41 @@ def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
         raise CapacityError(f"dp fermionant limited to n <= {max_n}, got {n}")
     if n == 0:
         return 1
-    C = _cycle_sums(a)
+    C, walks = _cycle_sums(a)
     full = (1 << n) - 1
 
-    # covers: peel off the cycle through the lowest vertex of each subset.
-    # Peeling the full set leaves only sets without vertex 0, and peeling
-    # those leaves only their subsets, so no other set is ever read.
+    # covers: peel off the cycle through the lowest vertex m of each set S,
+    # so F[S] reads only sets whose lowest vertex is above m, which the
+    # descending m finishes first.  Peeling the full set leaves only sets
+    # without vertex 0, and peeling those leaves only their subsets, so the
+    # only set with vertex 0 ever read is the full set.
     negk = -k
     F = [0] * (full + 1)
     F[0] = 1
-    for S in (*range(2, full, 2), full):
-        low = S & (-S)
-        rest = S ^ low
-        acc = 0
-        Tp = rest
-        while True:
-            c = C[low | Tp]
-            if c:
-                acc += c * F[S ^ (low | Tp)]
-            if Tp == 0:
-                break
-            Tp = (Tp - 1) & rest
-        F[S] = negk * acc
+    for m in range(n - 1, -1, -1):
+        low = 1 << m
+        sets = range(low, full + 1, low << 1) if m else (full,)
+        walk = walks[m]
+        if walk is None:
+            for S in sets:
+                rest = S ^ low
+                acc = 0
+                Tp = rest
+                while True:
+                    c = C[low | Tp]
+                    if c:
+                        acc += c * F[S ^ (low | Tp)]
+                    if Tp == 0:
+                        break
+                    Tp = (Tp - 1) & rest
+                F[S] = negk * acc
+        elif walk:  # with no cycle lowest at m, every F[S] here stays 0
+            for S in sets:
+                acc = 0
+                for cyc, c in walk:
+                    if cyc & S == cyc:
+                        acc += c * F[S ^ cyc]
+                F[S] = negk * acc
     return -F[full] if n % 2 else F[full]
 
 

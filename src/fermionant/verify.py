@@ -18,7 +18,9 @@ Everything is a pure function of (seed, limits): instance streams are
 generated in a fixed order from derived seeds, and reports serialize
 byte-identically across runs (wall times appear only in the human summary,
 never in the JSON payload).  Any violation is recorded as the family's first
-counterexample with both sides serialized; it is never skipped.
+counterexample with its instance and both sides serialized; it is never
+skipped.  A check that raises is a violation of its own instance, and the
+family goes on with the next one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Any, Callable, Iterator
 
 from .characters import character, schur_weyl_expand
@@ -33,7 +36,7 @@ from .errors import CapacityError
 from .generators import exhaustive_plane_graphs, generate_eulerian_digraph, generate_plane_graph
 from .graphio import write_graph, write_matrix
 from .graphpoly import TUTTE_DEFAULT_MAX_EDGES, circuit_partition_poly, martin_rhs, tutte, tutte_diagonal
-from .graphs import Multigraph, PlaneGraph, adjacency_matrix, connected_components
+from .graphs import Digraph, Multigraph, PlaneGraph, adjacency_matrix, connected_components
 from .hamilton import count_hamiltonian_cycles
 from .matrixfn import (
     BRUTE_DEFAULT_MAX_N,
@@ -44,6 +47,7 @@ from .matrixfn import (
     fermionant_via_immanants,
 )
 from .partitions import all_partitions
+from .polynomials import UniPolynomial
 from .transforms import bicycle_dimension, ferm2_medial_closed_form, line_digraph, medial
 
 
@@ -140,26 +144,23 @@ def _random_simple_graph(rng: random.Random, n: int, p: float) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
-def _run_family(
-    name: str, checks: Iterator[tuple[dict[str, Any], Any, Any]]
-) -> IdentityResult:
+# A family yields (instance, check) pairs; check() computes the two sides.
+_Checks = Iterator[tuple[dict[str, Any], Callable[[], tuple[Any, Any]]]]
+
+
+def _run_family(name: str, checks: _Checks) -> IdentityResult:
+    """Run every check of a family.  A check that raises counts as a
+    violation of its own instance, and the family goes on to the next."""
     start = time.perf_counter()
     instances = 0
     passes = 0
     counterexample = None
-    while True:
-        try:
-            instance, lhs, rhs = next(checks)
-        except StopIteration:
-            break
-        except Exception as exc:  # a blown-up side is a violation, not a skip
-            instances += 1
-            if counterexample is None:
-                counterexample = Counterexample(
-                    {"error": True}, f"raised {type(exc).__name__}: {exc}", "a value"
-                )
-            continue
+    for instance, check in checks:
         instances += 1
+        try:
+            lhs, rhs = check()
+        except Exception as exc:  # a blown-up side is a violation, not a skip
+            lhs, rhs = f"raised {type(exc).__name__}: {exc}", "a value"
         if lhs == rhs:
             passes += 1
         elif counterexample is None:
@@ -179,37 +180,47 @@ def _graph_instance(g: Any, **extra: Any) -> dict[str, Any]:
     return doc
 
 
-def _i1_determinant(seed: int, limits: Limits) -> Iterator[tuple[dict, Any, Any]]:
+# Work shared by the checks of several instances (one per k) is wrapped in
+# functools.cache: it runs inside the first check that needs it, so a raise
+# is charged to an instance, and later checks reuse it.  Checks bind the loop
+# variables they read as defaults, so none depends on when it runs.
+
+
+def _i1_determinant(seed: int, limits: Limits) -> _Checks:
     for n in range(2, min(7, limits.max_n) + 1):
         for t in range(limits.trials):
             rng = random.Random(_child_seed(seed, 1, n * 100_000 + t))
             a = _random_matrix(rng, n)
-            yield _matrix_instance(a, n=n), fermionant(a, 1, "dp"), determinant(a)
+            yield _matrix_instance(a, n=n), lambda a=a: (fermionant(a, 1, "dp"), determinant(a))
 
 
-def _i2_agreement(seed: int, limits: Limits) -> Iterator[tuple[dict, Any, Any]]:
+def _i2_agreement(seed: int, limits: Limits) -> _Checks:
     for n in range(2, limits.max_n + 1):
         for t in range(limits.trials):
             rng = random.Random(_child_seed(seed, 2, n * 100_000 + t))
             a = _random_matrix(rng, n)
             for k in (1, 2, 3):
-                brute = fermionant(a, k, "brute")
-                dp = fermionant(a, k, "dp")
-                imm = fermionant_via_immanants(a, k)
-                yield (
-                    _matrix_instance(a, n=n, k=k),
-                    str(brute),
-                    str(dp) if dp == imm else f"dp={dp} immanants={imm}",
-                )
+
+                def check(a=a, k=k):
+                    brute = fermionant(a, k, "brute")
+                    dp = fermionant(a, k, "dp")
+                    imm = fermionant_via_immanants(a, k)
+                    return str(brute), str(dp) if dp == imm else f"dp={dp} immanants={imm}"
+
+                yield _matrix_instance(a, n=n, k=k), check
 
 
-def _i3_schur_weyl(seed: int, limits: Limits) -> Iterator[tuple[dict, Any, Any]]:
+def _i3_schur_weyl(seed: int, limits: Limits) -> _Checks:
     for n in range(1, limits.max_n + 1):
         for k in range(1, 5):
-            expansion = schur_weyl_expand(n, k)
+            expansion = cache(partial(schur_weyl_expand, n, k))
             for mu in all_partitions(n):
-                total = sum(d * character(lam, mu) for lam, d in expansion.items())
-                yield {"n": n, "k": k, "cycle_type": str(mu)}, total, k**mu.depth
+
+                def check(expansion=expansion, mu=mu, k=k):
+                    total = sum(d * character(lam, mu) for lam, d in expansion().items())
+                    return total, k**mu.depth
+
+                yield {"n": n, "k": k, "cycle_type": str(mu)}, check
 
 
 def _plane_instances(seed: int, family: int, count: int, max_edges: int):
@@ -217,89 +228,92 @@ def _plane_instances(seed: int, family: int, count: int, max_edges: int):
         yield generate_plane_graph(_child_seed(seed, family, i), max_edges)
 
 
-def _i4_martin(
-    seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]
-) -> Iterator[tuple[dict, Any, Any]]:
+def _i4_martin(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
     small = exhaustive_plane_graphs(min(5, limits.max_edges))
     randoms = _plane_instances(seed, 4, 2 * limits.trials, limits.max_edges)
     for g in list(small) + list(randoms):
-        lhs = circuit_partition_poly(medial_fn(g))
-        rhs = martin_rhs(g)
-        yield _graph_instance(g), lhs, rhs
+        yield _graph_instance(g), lambda g=g: (circuit_partition_poly(medial_fn(g)), martin_rhs(g))
 
 
-def _i5_line_digraph(
-    seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]
-) -> Iterator[tuple[dict, Any, Any]]:
+def _line_digraph_sides(h: Digraph) -> tuple[UniPolynomial, Matrix]:
+    """j(h; z) and the line digraph's adjacency matrix, one row per arc."""
+    return circuit_partition_poly(h), adjacency_matrix(line_digraph(h))
+
+
+def _i5_line_digraph(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
     for i in range(2 * limits.trials):
         h = generate_eulerian_digraph(_child_seed(seed, 5, i), limits.max_arcs)
-        j = circuit_partition_poly(h)
         sign = -1 if h.num_arcs % 2 else 1
-        a_e = adjacency_matrix(line_digraph(h))
+        sides = cache(partial(_line_digraph_sides, h))
         for k in (1, 2, 3):
-            yield _graph_instance(h, k=k), fermionant(a_e, k, "dp"), sign * j(-k)
+
+            def check(sides=sides, k=k, sign=sign):
+                j, a_e = sides()
+                return fermionant(a_e, k, "dp"), sign * j(-k)
+
+            yield _graph_instance(h, k=k), check
     # medial instances: even arc count makes the sign vacuous
     for i in range(limits.trials):
         g = generate_plane_graph(_child_seed(seed, 55, i), min(4, limits.max_edges))
-        h = medial_fn(g)
-        j = circuit_partition_poly(h)
-        a_e = adjacency_matrix(line_digraph(h))
-        parity_ok = h.num_arcs % 2 == 0
+        sides = cache(lambda g=g: _line_digraph_sides(medial_fn(g)))
         for k in (1, 2, 3):
-            lhs = fermionant(a_e, k, "dp")
-            yield (
-                _graph_instance(g, k=k, medial=True),
-                (lhs, parity_ok),
-                (j(-k), True),
-            )
+
+            def check(sides=sides, k=k):
+                j, a_e = sides()
+                return (fermionant(a_e, k, "dp"), a_e.n % 2 == 0), (j(-k), True)
+
+            yield _graph_instance(g, k=k, medial=True), check
 
 
-def _i6_headline(
-    seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]
-) -> Iterator[tuple[dict, Any, Any]]:
+def _i6_headline(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
     small = exhaustive_plane_graphs(min(4, limits.max_edges))
     randoms = _plane_instances(seed, 6, limits.trials, min(6, limits.max_edges))
     for g in list(small) + list(randoms):
-        a_me = adjacency_matrix(line_digraph(medial_fn(g)))
-        c, _ = connected_components(g.graph)
+        a_me = cache(lambda g=g: adjacency_matrix(line_digraph(medial_fn(g))))
         for k in (1, 2, 3):
-            lhs = fermionant(a_me, k, "dp")
-            rhs = (-k) ** c * tutte_diagonal(g.graph, 1 - k)
-            yield _graph_instance(g, k=k), lhs, rhs
+
+            def check(g=g, a_me=a_me, k=k):
+                c, _ = connected_components(g.graph)
+                return fermionant(a_me(), k, "dp"), (-k) ** c * tutte_diagonal(g.graph, 1 - k)
+
+            yield _graph_instance(g, k=k), check
 
 
-def _i7_parity(seed: int, limits: Limits) -> Iterator[tuple[dict, Any, Any]]:
+def _i7_parity(seed: int, limits: Limits) -> _Checks:
     probabilities = (0.3, 0.5, 0.8)
     for i in range(2 * limits.trials):
         rng = random.Random(_child_seed(seed, 7, i))
         n = 5 + i % 5
         p = probabilities[(i // 5) % 3]
         g = _random_simple_graph(rng, n, p)
-        f = fermionant(adjacency_matrix(g), 2, "dp")
-        ham = count_hamiltonian_cycles(g)
-        yield (
-            _graph_instance(g, n=n, p=p),
-            (f % 4, (f // 4) % 2),
-            (0, ham % 2),
-        )
+
+        def check(g=g):
+            f = fermionant(adjacency_matrix(g), 2, "dp")
+            return (f % 4, (f // 4) % 2), (0, count_hamiltonian_cycles(g) % 2)
+
+        yield _graph_instance(g, n=n, p=p), check
 
 
-def _i8_bicycle(
-    seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]
-) -> Iterator[tuple[dict, Any, Any]]:
+def _i8_bicycle(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
     small = exhaustive_plane_graphs(min(4, limits.max_edges))
     randoms = list(_plane_instances(seed, 8, limits.trials, limits.max_edges))
     for g in small + randoms:
         graph = g.graph
-        t = tutte(graph)(-1, -1)
-        rhs = (-1) ** graph.num_edges * (-2) ** bicycle_dimension(graph)
-        yield _graph_instance(graph), t, rhs
+
+        def check(graph=graph):
+            rhs = (-1) ** graph.num_edges * (-2) ** bicycle_dimension(graph)
+            return tutte(graph)(-1, -1), rhs
+
+        yield _graph_instance(graph), check
     plane_small = exhaustive_plane_graphs(min(3, limits.max_edges))
     plane_randoms = list(_plane_instances(seed, 88, limits.trials, min(5, limits.max_edges)))
     for g in plane_small + plane_randoms:
-        a_me = adjacency_matrix(line_digraph(medial_fn(g)))
-        lhs = fermionant(a_me, 2, "dp")
-        yield _graph_instance(g, closed_form=True), lhs, ferm2_medial_closed_form(g)
+
+        def check(g=g):
+            lhs = fermionant(adjacency_matrix(line_digraph(medial_fn(g))), 2, "dp")
+            return lhs, ferm2_medial_closed_form(g)
+
+        yield _graph_instance(g, closed_form=True), check
 
 
 def verify_suite(
@@ -315,6 +329,8 @@ def verify_suite(
     routes of I2, ``max_edges`` deletion-contraction Tutte (I4, I8) and
     ``max_arcs`` the dp on the line digraph (I5), whose vertices are arcs.
     A capacity limit is thus never reported as an identity violation.
+    ``max_edges`` or ``max_arcs`` below 1 raises ``ValueError``, also
+    before any family runs.
 
     ``medial_fn`` substitutes the medial construction in the families that
     use one; it exists so tests can confirm the harness catches a corrupted
@@ -328,6 +344,9 @@ def verify_suite(
     ):
         if value > cap:
             raise CapacityError(f"verify {name} limited to {cap} by {route}, got {value}")
+    for name, value in (("max_edges", limits.max_edges), ("max_arcs", limits.max_arcs)):
+        if value < 1:
+            raise ValueError(f"verify {name} must be at least 1, got {value}")
     md = medial_fn if medial_fn is not None else medial
     report = VerificationReport(seed, limits)
     report.identities.append(_run_family("ferm1-equals-det", _i1_determinant(seed, limits)))

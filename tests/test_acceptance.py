@@ -193,12 +193,24 @@ def test_a9_tableaux_character_cross_checks():
 
 
 def test_a10_performance_floor():
-    with criterion("A10 dp n=16 <=60s; 12-edge tutte <=10s; verify seed 42 <=600s"):
+    with criterion("A10 dp n=16 <=60s; dp medial n=20 <=60s; 12-edge tutte <=10s; verify seed 42 <=600s"):
         rng = random.Random(1016)
         a = Matrix(tuple(tuple(rng.randint(0, 1) for _ in range(16)) for _ in range(16)))
         start = time.perf_counter()
         fermionant(a, 2, "dp")
         assert time.perf_counter() - start <= 60.0
+
+        plane_rng = random.Random(1020)  # its own stream: the Tutte graph below keeps its edges
+        plane = generate_plane_graph(plane_rng.randrange(2**31), 10)
+        while plane.num_edges != 10:
+            plane = generate_plane_graph(plane_rng.randrange(2**31), 10)
+        a_me = adjacency_matrix(line_digraph(medial(plane)))
+        assert a_me.n == 20
+        c, _ = connected_components(plane.graph)
+        start = time.perf_counter()
+        value = fermionant(a_me, 2, "dp")
+        assert time.perf_counter() - start <= 60.0
+        assert value == (-2) ** c * tutte_diagonal(plane.graph, -1)
 
         edges = tuple((rng.randrange(6), rng.randrange(6)) for _ in range(12))
         g = Multigraph(6, edges)

@@ -175,6 +175,16 @@ def test_verify_capacity_exits_3_before_any_family(capsys, monkeypatch):
         assert families == []
 
 
+def test_verify_max_edges_below_1_exits_2_before_any_family(capsys, monkeypatch):
+    families = []
+    monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
+    code, out, err = run(capsys, ["verify", "--seed", "1", "--max-edges", "0"])
+    assert code == 2
+    assert out == ""
+    assert "max_edges must be at least 1" in err
+    assert families == []
+
+
 def test_verify_violation_exits_4(capsys, monkeypatch):
     real = verify_module.medial
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -9,14 +10,18 @@ from fermionant import (
     CapacityError,
     Matrix,
     Partition,
+    connected_components,
     cycle_type,
     cycle_type_weight_sums,
     determinant,
     fermionant,
     fermionant_cycle_poly,
     fermionant_via_immanants,
+    generate_plane_graph,
     immanant,
+    medial_line_adjacency,
     permanent,
+    tutte_diagonal,
 )
 from fermionant import matrixfn
 
@@ -233,20 +238,67 @@ def test_class_sums_memo_is_not_shared_or_bypassed():
 def test_dp_cycle_sums_are_memoised_per_matrix():
     rng = random.Random(71)
     a, b = random_matrix(rng, 6), random_matrix(rng, 6)
+    # a 6-cycle plus the 1-cycle at vertex 0: its vertices keep cycle lists
+    c = Matrix(
+        tuple(
+            tuple(rng.choice((1, -2, 3)) if j == (i + 1) % 6 or i == j == 0 else 0 for j in range(6))
+            for i in range(6)
+        )
+    )
     expected = {
-        (m, k): cycle_cover_fermionant_brute([list(r) for r in m.rows], k) for m in (a, b) for k in (1, 2, 3)
+        (m, k): cycle_cover_fermionant_brute([list(r) for r in m.rows], k) for m in (a, b, c) for k in (1, 2, 3)
     }
-    matrixfn._cycle_sums.cache_clear()
-    misses = matrixfn._cycle_sums.cache_info().misses
+    for m in (a, c):
+        matrixfn._cycle_sums.cache_clear()
+        misses = matrixfn._cycle_sums.cache_info().misses
+        for k in (1, 2, 3):
+            assert fermionant(m, k, "dp") == expected[m, k]
+        assert matrixfn._cycle_sums.cache_info().misses == misses + 1
+        sums, walks = matrixfn._cycle_sums(m)
+        assert isinstance(sums, tuple) and isinstance(walks, tuple)
+        assert all(w is None or isinstance(w, tuple) for w in walks)
+    # the lists are part of the one memoised value, not a second memo
+    six_cycle = math.prod(c.rows[i][(i + 1) % 6] for i in range(6))
+    assert matrixfn._cycle_sums(c)[1][0] == ((0b1, c.rows[0][0]), (0b111111, six_cycle))
     for k in (1, 2, 3):
-        assert fermionant(a, k, "dp") == expected[a, k]
-    assert matrixfn._cycle_sums.cache_info().misses == misses + 1
-    assert isinstance(matrixfn._cycle_sums(a), tuple)
-    for k in (1, 2, 3):
-        for m in (a, b):
+        for m in (a, b, c):
             assert fermionant(m, k, "dp") == expected[m, k]
     with pytest.raises(CapacityError):
         fermionant(b, 2, "dp", dp_max_n=5)
+
+
+def test_dp_walks_cycle_lists_and_submasks_in_one_matrix():
+    rng = random.Random(83)
+    n = 8
+    rows = [[0] * n for _ in range(n)]
+    # sparse block on vertices 0..2: a 3-cycle, a 2-cycle and two 1-cycles,
+    # none lowest at vertex 1
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 2)):
+        rows[i][j] = rng.choice((1, -1, 2, -3))
+    # dense block on vertices 3..7
+    for i in range(3, n):
+        for j in range(3, n):
+            rows[i][j] = rng.choice((1, -1, 2, -2, 3, -3))
+    a = Matrix(tuple(tuple(r) for r in rows))
+    _, walks = matrixfn._cycle_sums(a)
+    assert len(walks[0]) == 3 and walks[1] == () and len(walks[2]) == 1
+    assert all(w is None for w in walks[3:])
+    for k in (-2, 0, 1, 2, 3):
+        assert fermionant(a, k, "dp") == cycle_cover_fermionant_brute(rows, k)
+
+
+def test_dp_medial_line_digraphs_match_tutte_diagonal():
+    rng = random.Random(97)
+    for edges in (8, 9):
+        g = generate_plane_graph(rng.randrange(2**31), edges)
+        while g.num_edges != edges:
+            g = generate_plane_graph(rng.randrange(2**31), edges)
+        a = medial_line_adjacency(g)
+        assert a.n == 2 * edges
+        c, _ = connected_components(g.graph)
+        for k in (2, 3):
+            assert fermionant(a, k, "dp") == (-k) ** c * tutte_diagonal(g.graph, 1 - k)
+        assert any(w is not None for w in matrixfn._cycle_sums(a)[1])
 
 
 def test_cycle_poly_capacity():

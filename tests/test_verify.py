@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fermionant import CapacityError, Digraph, Limits, medial, verify_suite
+from fermionant import CapacityError, Digraph, Limits, medial, verify_suite, write_graph
 import fermionant.verify as verify_module
 
 
@@ -69,6 +69,28 @@ def test_corrupted_medial_is_caught():
     assert "graph" in ce.instance
 
 
+def test_raising_check_is_charged_to_its_instance_and_the_family_goes_on():
+    clean = {r.name: r for r in verify_suite(7, SMALL).identities}
+    calls = []
+
+    def flaky_medial(plane):
+        calls.append(plane)
+        if len(calls) == 3:
+            raise RuntimeError("medial failed")
+        return medial(plane)
+
+    report = verify_suite(7, SMALL, medial_fn=flaky_medial)
+    martin = next(r for r in report.identities if r.name == "martin-circuit-partition")
+    assert martin.instances == clean[martin.name].instances
+    assert martin.passes == martin.instances - 1
+    ce = martin.counterexample
+    assert ce.instance == {"graph": write_graph(calls[2]).strip()}
+    assert ce.lhs == "raised RuntimeError: medial failed"
+    for r in report.identities:
+        if r is not martin:
+            assert r.to_json() == clean[r.name].to_json()
+
+
 def test_medial_fn_hook_uses_module_default(monkeypatch):
     calls = []
     real = verify_module.medial
@@ -87,5 +109,14 @@ def test_limits_above_route_caps_raise_before_any_family(monkeypatch):
     monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
     for limits in (Limits(max_n=10), Limits(max_edges=15), Limits(max_arcs=21)):
         with pytest.raises(CapacityError):
+            verify_suite(1, limits)
+    assert families == []
+
+
+def test_limits_below_1_raise_before_any_family(monkeypatch):
+    families = []
+    monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
+    for limits in (Limits(max_edges=0), Limits(max_arcs=0)):
+        with pytest.raises(ValueError, match="must be at least 1"):
             verify_suite(1, limits)
     assert families == []
