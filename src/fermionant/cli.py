@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import CapacityError, ConsistencyError, FormatError
 from .graphio import read_graph, read_matrix, write_graph
@@ -34,6 +34,13 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
 
 
 def _load_graph(path: str, *kinds: type) -> Any:
@@ -110,26 +117,25 @@ def _cmd_circuit_poly(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_medial(args: argparse.Namespace) -> int:
-    plane = _load_graph(args.graph, PlaneGraph)
-    result = medial(plane)
-    Path(args.out).write_text(write_graph(result), encoding="utf-8")
+def _transform_to_file(
+    args: argparse.Namespace, kind: type, transform: Callable[[Any], Digraph], label: str
+) -> int:
+    """Apply a graph-to-digraph transform and write the result to --out."""
+    result = transform(_load_graph(args.graph, kind))
+    _write_text(args.out, write_graph(result))
     _emit(
         {"num_vertices": result.num_vertices, "num_arcs": result.num_arcs, "out": args.out},
-        f"medial graph: {result.num_vertices} vertices, {result.num_arcs} arcs -> {args.out}",
+        f"{label}: {result.num_vertices} vertices, {result.num_arcs} arcs -> {args.out}",
     )
     return 0
+
+
+def _cmd_medial(args: argparse.Namespace) -> int:
+    return _transform_to_file(args, PlaneGraph, medial, "medial graph")
 
 
 def _cmd_line_digraph(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph, Digraph)
-    result = line_digraph(graph)
-    Path(args.out).write_text(write_graph(result), encoding="utf-8")
-    _emit(
-        {"num_vertices": result.num_vertices, "num_arcs": result.num_arcs, "out": args.out},
-        f"line digraph: {result.num_vertices} vertices, {result.num_arcs} arcs -> {args.out}",
-    )
-    return 0
+    return _transform_to_file(args, Digraph, line_digraph, "line digraph")
 
 
 def _cmd_bicycle_dim(args: argparse.Namespace) -> int:

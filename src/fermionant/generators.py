@@ -17,6 +17,10 @@ The same grammar drives the seeded random generator (with biased op choices
 for the classic families: trees, paths, cycles, parallel bundles, loop
 bouquets, disjoint unions) and the exhaustive enumerator used for
 small-instance sweeps.  Generated graphs never contain isolated vertices.
+Builders trace their faces with the ``graphs`` face walk on their own
+rotation lists, and the enumerator keys each candidate from its builder, so
+a graph is validated once, when it leaves the builder, and never as an
+intermediate state or a discarded duplicate.
 
 Eulerian digraphs are unions of random closed walks on a small vertex set,
 balanced at every vertex by construction.
@@ -26,13 +30,12 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Digraph, Multigraph, PlaneGraph, faces
-
-HalfEdge = tuple[int, int]
+from .graphs import Digraph, HalfEdge, Multigraph, PlaneGraph, _face_walks, _rotation_successor
 
 
 class _PlaneBuilder:
-    """Mutable embedding under construction; ``freeze`` validates."""
+    """Mutable embedding under construction; ``freeze`` validates, and is
+    called once per graph a generator returns."""
 
     def __init__(self, num_vertices: int = 1):
         self.num_vertices = num_vertices
@@ -52,7 +55,7 @@ class _PlaneBuilder:
         )
 
     def walks(self) -> list[tuple[HalfEdge, ...]]:
-        return faces(self.freeze())
+        return _face_walks(len(self.edges), self.rotations)
 
     def add_leaf(self, v: int, gap: int) -> None:
         """New vertex joined to v; the new half-edge occupies rotation gap
@@ -78,6 +81,10 @@ class _PlaneBuilder:
         u, v = self.edges[eid]
         vertex = v if s == 0 else u
         return vertex, (eid, 1 - s)
+
+    def corners(self, walk: tuple[HalfEdge, ...], v: int) -> list[int]:
+        """Indices i of the walk whose following corner lies at vertex v."""
+        return [i for i, dart in enumerate(walk) if self._corner(dart)[0] == v]
 
     def add_chord(self, walk: tuple[HalfEdge, ...], i: int, j: int) -> None:
         """Edge between the corners after walk[i] and walk[j] of one face."""
@@ -107,8 +114,8 @@ def disjoint_union(a: PlaneGraph, b: PlaneGraph) -> PlaneGraph:
 
 def _grow_random(builder: _PlaneBuilder, rng: random.Random, edges_to_add: int, chord_weight: float) -> None:
     for _ in range(edges_to_add):
-        walks = builder.walks() if builder.edges else []
         if builder.edges and rng.random() < chord_weight:
+            walks = builder.walks()
             walk = walks[rng.randrange(len(walks))]
             i = rng.randrange(len(walk))
             j = rng.randrange(len(walk))
@@ -127,8 +134,8 @@ def _grow_random(builder: _PlaneBuilder, rng: random.Random, edges_to_add: int, 
 def _chord_between_vertices(builder: _PlaneBuilder, u: int, v: int) -> None:
     """Chord between some pair of corners of one face at the given vertices."""
     for walk in builder.walks():
-        corners_u = [i for i in range(len(walk)) if builder._corner(walk[i])[0] == u]
-        corners_v = [j for j in range(len(walk)) if builder._corner(walk[j])[0] == v]
+        corners_u = builder.corners(walk, u)
+        corners_v = builder.corners(walk, v)
         if corners_u and corners_v:
             i, j = corners_u[0], corners_v[0]
             builder.add_chord(walk, min(i, j), max(i, j))
@@ -165,12 +172,8 @@ def _build_family(rng: random.Random, target: int, family: int) -> _PlaneBuilder
         for _ in range(target - 1):
             if rng.random() < 0.4:
                 v = rng.randrange(builder.num_vertices)
-                walks = builder.walks()
                 candidates = [
-                    (walk, i)
-                    for walk in walks
-                    for i in range(len(walk))
-                    if builder._corner(walk[i])[0] == v
+                    (walk, i) for walk in builder.walks() for i in builder.corners(walk, v)
                 ]
                 walk, i = candidates[rng.randrange(len(candidates))]
                 builder.add_chord(walk, i, i)
@@ -197,7 +200,7 @@ def generate_plane_graph(seed: int, max_edges: int) -> PlaneGraph:
         return disjoint_union(a, b)
     if family == 7:
         family = 6
-    return _build_family(rng, target, min(family, 6)).freeze()
+    return _build_family(rng, target, family).freeze()
 
 
 def generate_eulerian_digraph(seed: int, max_arcs: int) -> Digraph:
@@ -218,23 +221,18 @@ def generate_eulerian_digraph(seed: int, max_arcs: int) -> Digraph:
     return Digraph(nv, tuple(arcs))
 
 
-def _canonical_map_code(plane: PlaneGraph) -> tuple[int, ...]:
+def _canonical_map_code(plane: PlaneGraph | _PlaneBuilder) -> tuple[int, ...]:
     """Complete isomorphism invariant of a connected embedded multigraph.
 
     The embedding is the dart permutation pair (rotation successor, edge
     reversal).  Darts are renumbered by breadth-first discovery from a root
     dart and both permutations emitted under that numbering; the code is the
     minimum over root darts, so isomorphic embeddings (and only those)
-    collide."""
-    g = plane.graph
-    darts = [(e, s) for e in range(g.num_edges) for s in (0, 1)]
-    sigma: dict[HalfEdge, HalfEdge] = {}
-    for rot in plane.rotations:
-        d = len(rot)
-        for i, he in enumerate(rot):
-            sigma[he] = rot[(i + 1) % d]
+    collide.  Reads only the rotations, so a builder can be keyed before it
+    is frozen."""
+    sigma = _rotation_successor(plane.rotations)
     best: tuple[int, ...] | None = None
-    for root in darts:
+    for root in sorted(sigma):
         number = {root: 0}
         order = [root]
         idx = 0
@@ -266,30 +264,26 @@ def exhaustive_plane_graphs(max_edges: int, *, include_unions: bool = True) -> l
     levels: list[list[_PlaneBuilder]] = [[_PlaneBuilder()]]
     seen: set[tuple[int, ...]] = set()
     out: list[PlaneGraph] = []
-    codes: list[tuple[int, ...]] = []
     for level in range(max_edges):
         next_level: list[_PlaneBuilder] = []
         for builder in levels[level]:
             for child in _expansions(builder):
-                frozen = child.freeze()
-                key = _canonical_map_code(frozen)
+                key = _canonical_map_code(child)
                 if key in seen:
                     continue
                 seen.add(key)
                 next_level.append(child)
-                out.append(frozen)
-                codes.append(key)
+                out.append(child.freeze())
         levels.append(next_level)
     if include_unions:
-        singles = list(zip(out, codes))
-        union_seen: set[tuple[tuple[int, ...], ...]] = set()
-        for i, (a, code_a) in enumerate(singles):
-            for b, code_b in singles[i:]:
-                if a.num_edges + b.num_edges <= max_edges:
-                    key = tuple(sorted((code_a, code_b)))
-                    if key not in union_seen:
-                        union_seen.add(key)
-                        out.append(disjoint_union(a, b))
+        # singles are pairwise non-isomorphic and come in nondecreasing edge
+        # count, so each pair i <= j is a distinct union until the budget ends
+        singles = list(out)
+        for i, a in enumerate(singles):
+            for b in singles[i:]:
+                if a.num_edges + b.num_edges > max_edges:
+                    break
+                out.append(disjoint_union(a, b))
     return out
 
 

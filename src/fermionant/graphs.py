@@ -23,7 +23,9 @@ relation  vertices - edges + faces = 2.  (With all edges in one component
 this is the familiar |V| - |E| + |F| = 1 + components, isolated vertices
 included.)  Constructors reject rotation systems that violate it.
 
-Connectivity has one home here: a union-find gives component counts and
+Face tracing has one home here: ``faces`` and the plane-graph generators
+(on the rotation lists of an embedding under construction) share one walk.
+Connectivity has one home here too: a union-find gives component counts and
 labels, and a depth-first spanning forest gives the fundamental cycles that
 the bridge test and the bicycle space read.
 
@@ -101,15 +103,6 @@ class Digraph:
         return sum(1 for _, w in self.arcs if w == v)
 
 
-def _half_edges_of(graph: Multigraph) -> list[tuple[HalfEdge, int]]:
-    """All (half-edge, vertex it belongs to) pairs."""
-    out = []
-    for eid, (u, v) in enumerate(graph.edges):
-        out.append(((eid, 0), u))
-        out.append(((eid, 1), v))
-    return out
-
-
 @dataclass(frozen=True)
 class PlaneGraph:
     """A multigraph with a counterclockwise rotation system.
@@ -133,7 +126,7 @@ class PlaneGraph:
             raise FormatError(
                 f"expected one rotation per vertex ({g.num_vertices}), got {len(self.rotations)}"
             )
-        owner = {he: v for he, v in _half_edges_of(g)}
+        owner = {(eid, s): ends[s] for eid, ends in enumerate(g.edges) for s in (0, 1)}
         seen: set[HalfEdge] = set()
         for v, rot in enumerate(self.rotations):
             for he in rot:
@@ -189,21 +182,29 @@ def faces(plane: PlaneGraph) -> list[tuple[HalfEdge, ...]]:
     one walk.  Walks are normalized to start at their smallest dart and the
     list is sorted, so the output is canonical.
     """
-    g = plane.graph
-    succ_rotation: dict[HalfEdge, HalfEdge] = {}
-    for rot in plane.rotations:
+    return _face_walks(plane.num_edges, plane.rotations)
+
+
+def _rotation_successor(rotations: Sequence[Sequence[HalfEdge]]) -> dict[HalfEdge, HalfEdge]:
+    """Each half-edge mapped to the next one counterclockwise at its vertex."""
+    succ: dict[HalfEdge, HalfEdge] = {}
+    for rot in rotations:
         d = len(rot)
         for i, he in enumerate(rot):
-            succ_rotation[he] = rot[(i + 1) % d]
+            succ[he] = rot[(i + 1) % d]
+    return succ
 
-    def next_dart(dart: HalfEdge) -> HalfEdge:
-        eid, s = dart
-        arrival = (eid, 1 - s)
-        return succ_rotation[arrival]
 
+def _face_walks(
+    num_edges: int, rotations: Sequence[Sequence[HalfEdge]]
+) -> list[tuple[HalfEdge, ...]]:
+    """``faces`` on bare rotation lists, so an embedding still being built
+    is traced without validating it first: dart (e, s) arrives on (e, 1-s)
+    and continues at that half-edge's rotation successor."""
+    succ = _rotation_successor(rotations)
     walks = []
     visited: set[HalfEdge] = set()
-    for eid in range(g.num_edges):
+    for eid in range(num_edges):
         for s in (0, 1):
             start = (eid, s)
             if start in visited:
@@ -213,7 +214,7 @@ def faces(plane: PlaneGraph) -> list[tuple[HalfEdge, ...]]:
             while True:
                 walk.append(d)
                 visited.add(d)
-                d = next_dart(d)
+                d = succ[(d[0], 1 - d[1])]
                 if d == start:
                     break
             k = walk.index(min(walk))

@@ -42,9 +42,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .characters import character
+from .characters import character, schur_weyl_expand
 from .errors import CapacityError
-from .partitions import Partition, count_ssyt, partitions_with_depth_at_most, transpose
+from .partitions import Partition, transpose
 from .polynomials import UniPolynomial
 
 BRUTE_DEFAULT_MAX_N = 9
@@ -383,8 +383,7 @@ def fermionant_via_immanants(
         return 1
     sums = cycle_type_weight_sums(a, max_n=max_n)
     total = 0
-    for lam in partitions_with_depth_at_most(n, k):
-        d = count_ssyt(lam, k)
+    for lam, d in schur_weyl_expand(n, k).items():
         lam_t = transpose(lam)
         imm = sum(character(lam_t, mu) * w for mu, w in sums.items())
         total += d * imm

@@ -9,6 +9,26 @@ nonzero coefficient.  Equality is coefficient-wise and exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
+
+
+def _power(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Signed sum of (nonzero coefficient, monomial) terms in the given order,
+    e.g. "x^2 - 3y + 1"; "0" when there are none."""
+    out = ""
+    for c, mon in terms:
+        term = mon if mon and c == 1 else "-" + mon if mon and c == -1 else f"{c}{mon}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -80,24 +100,9 @@ class UniPolynomial:
         return [str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for d in range(self.degree, -1, -1):
-            c = self.coefficient(d)
-            if c == 0:
-                continue
-            mon = "" if d == 0 else ("z" if d == 1 else f"z^{d}")
-            if d > 0 and c == 1:
-                terms.append(mon)
-            elif d > 0 and c == -1:
-                terms.append("-" + mon)
-            else:
-                terms.append(f"{c}{mon}")
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        return _join_terms(
+            (c, _power("z", d)) for d, c in reversed(list(enumerate(self.coeffs))) if c
+        )
 
 
 @dataclass(frozen=True)
@@ -142,16 +147,12 @@ class BivarPolynomial:
 
         Used to form T(G; z+1, z+1) from the two-variable Tutte polynomial.
         """
-        powers: dict[int, UniPolynomial] = {0: UniPolynomial.constant(1)}
-
-        def power(e: int) -> UniPolynomial:
-            if e not in powers:
-                powers[e] = power(e - 1) * sub
-            return powers[e]
-
+        by_degree = [0] * (1 + max((i + j for i, j in self.coeffs), default=-1))
+        for (i, j), c in self.coeffs.items():
+            by_degree[i + j] += c
         acc = UniPolynomial.zero()
-        for (i, j), c in sorted(self.coeffs.items()):
-            acc = acc + power(i + j) * UniPolynomial.constant(c)
+        for c in reversed(by_degree):
+            acc = acc * sub + UniPolynomial.constant(c)
         return acc
 
     def to_json(self) -> dict[str, str]:
@@ -159,20 +160,7 @@ class BivarPolynomial:
         return {f"{i},{j}": str(c) for (i, j), c in sorted(self.coeffs.items())}
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for (i, j), c in sorted(self.coeffs.items(), reverse=True):
-            mon = ("" if i == 0 else ("x" if i == 1 else f"x^{i}")) + (
-                "" if j == 0 else ("y" if j == 1 else f"y^{j}")
-            )
-            if mon and c == 1:
-                terms.append(mon)
-            elif mon and c == -1:
-                terms.append("-" + mon)
-            else:
-                terms.append(f"{c}{mon}")
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        return _join_terms(
+            (c, _power("x", i) + _power("y", j))
+            for (i, j), c in sorted(self.coeffs.items(), reverse=True)
+        )

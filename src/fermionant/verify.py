@@ -329,8 +329,9 @@ def verify_suite(
     routes of I2, ``max_edges`` deletion-contraction Tutte (I4, I8) and
     ``max_arcs`` the dp on the line digraph (I5), whose vertices are arcs.
     A capacity limit is thus never reported as an identity violation.
-    ``max_edges`` or ``max_arcs`` below 1 raises ``ValueError``, also
-    before any family runs.
+    ``max_n`` below 2, or ``max_edges``, ``trials`` or ``max_arcs`` below 1,
+    raises ``ValueError``, also before any family runs, so every family
+    checks at least one instance.
 
     ``medial_fn`` substitutes the medial construction in the families that
     use one; it exists so tests can confirm the harness catches a corrupted
@@ -344,9 +345,15 @@ def verify_suite(
     ):
         if value > cap:
             raise CapacityError(f"verify {name} limited to {cap} by {route}, got {value}")
-    for name, value in (("max_edges", limits.max_edges), ("max_arcs", limits.max_arcs)):
-        if value < 1:
-            raise ValueError(f"verify {name} must be at least 1, got {value}")
+    # below these, some family would have no instance: I1 and I2 start at n = 2
+    for name, value, least in (
+        ("max_n", limits.max_n, 2),
+        ("max_edges", limits.max_edges, 1),
+        ("trials", limits.trials, 1),
+        ("max_arcs", limits.max_arcs, 1),
+    ):
+        if value < least:
+            raise ValueError(f"verify {name} must be at least {least}, got {value}")
     md = medial_fn if medial_fn is not None else medial
     report = VerificationReport(seed, limits)
     report.identities.append(_run_family("ferm1-equals-det", _i1_determinant(seed, limits)))

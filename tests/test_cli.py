@@ -98,6 +98,16 @@ def test_medial_and_line_digraph_subcommands(capsys, tmp_path, triangle_file):
     assert json.loads(out)["num_vertices"] == 6
 
 
+def test_out_write_error_exits_2(capsys, tmp_path, triangle_file):
+    digraph = tmp_path / "d.json"
+    digraph.write_text(write_graph(Digraph(1, ((0, 0),))), encoding="utf-8")
+    bad_out = str(tmp_path / "missing" / "out.json")
+    for command, graph in (("medial", triangle_file), ("line-digraph", str(digraph))):
+        code, out, err = run(capsys, [command, "--graph", graph, "--out", bad_out])
+        assert (code, out) == (2, ""), command
+        assert "cannot write" in err, command
+
+
 def test_graph_kind_mismatch_is_input_error(capsys, tmp_path, triangle_file):
     code, _, err = run(capsys, ["circuit-poly", "--graph", triangle_file])
     assert code == 2
@@ -182,6 +192,16 @@ def test_verify_max_edges_below_1_exits_2_before_any_family(capsys, monkeypatch)
     assert code == 2
     assert out == ""
     assert "max_edges must be at least 1" in err
+    assert families == []
+
+
+def test_verify_trials_0_exits_2_before_any_family(capsys, monkeypatch):
+    families = []
+    monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
+    code, out, err = run(capsys, ["verify", "--seed", "1", "--trials", "0"])
+    assert code == 2
+    assert out == ""
+    assert "trials must be at least 1" in err
     assert families == []
 
 

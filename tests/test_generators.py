@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 from fermionant import (
     connected_components,
     disjoint_union,
@@ -112,3 +114,16 @@ def test_disjoint_union():
     assert u.num_vertices == 3
     assert u.num_edges == 2
     assert connected_components(u.graph)[0] == 2
+
+
+def test_generator_output_is_pinned():
+    # sha256 over the serialised output of both plane-graph generators; any
+    # change to the graphs they return (ids, order, rotations) changes it
+    h = hashlib.sha256()
+    for max_edges in range(1, 6):
+        for g in exhaustive_plane_graphs(max_edges):
+            h.update(write_graph(g).encode())
+    for seed in range(200):
+        for max_edges in (4, 7, 10, 14):
+            h.update(write_graph(generate_plane_graph(seed, max_edges)).encode())
+    assert h.hexdigest() == "3ba761d9af25e3a204614ab8a98b6f055cd7e1b551359d3436b1914acf4d11af"

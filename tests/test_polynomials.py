@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, strategies as st
 
 from fermionant import BivarPolynomial, UniPolynomial
@@ -61,6 +63,16 @@ def test_bivar_diagonal_substitution():
     p = x * x + x + y                       # triangle Tutte polynomial
     sub = UniPolynomial((1, 1))             # z + 1
     assert p.substitute_diagonal(sub).coeffs == (3, 4, 1)
+    rng = random.Random(11)
+    for _ in range(200):
+        terms = rng.randint(0, 8)
+        p = BivarPolynomial(
+            {(rng.randint(0, 5), rng.randint(0, 5)): rng.randint(-9, 9) for _ in range(terms)}
+        )
+        sub = UniPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 3))))
+        q = p.substitute_diagonal(sub)
+        for z in range(-3, 4):
+            assert q(z) == p(sub(z), sub(z))
 
 
 def test_bivar_serialization():

@@ -120,3 +120,24 @@ def test_limits_below_1_raise_before_any_family(monkeypatch):
         with pytest.raises(ValueError, match="must be at least 1"):
             verify_suite(1, limits)
     assert families == []
+
+
+def test_limits_leaving_a_family_empty_raise_before_any_family(monkeypatch):
+    families = []
+    monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
+    for limits, message in (
+        (Limits(max_n=1), "max_n must be at least 2, got 1"),
+        (Limits(trials=0), "trials must be at least 1, got 0"),
+        (Limits(trials=-3), "trials must be at least 1, got -3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            verify_suite(1, limits)
+    assert families == []
+
+
+def test_smallest_accepted_limits_give_every_family_an_instance():
+    report = verify_suite(1, Limits(max_n=2, max_edges=1, trials=1, max_arcs=1))
+    assert report.all_passed
+    assert len(report.identities) == 8
+    for r in report.identities:
+        assert r.instances >= 1, r.name
