@@ -227,12 +227,15 @@ def _canonical_map_code(plane: PlaneGraph | _PlaneBuilder) -> tuple[int, ...]:
     The embedding is the dart permutation pair (rotation successor, edge
     reversal).  Darts are renumbered by breadth-first discovery from a root
     dart and both permutations emitted under that numbering; the code is the
-    minimum over root darts, so isomorphic embeddings (and only those)
-    collide.  Reads only the rotations, so a builder can be keyed before it
-    is frozen."""
+    minimum over the root darts at vertices of least degree.  That root set
+    is carried onto itself by every isomorphism, so isomorphic embeddings
+    (and only those) collide.  Reads only the rotations, so a builder can be
+    keyed before it is frozen."""
     sigma = _rotation_successor(plane.rotations)
+    least = min(len(rot) for rot in plane.rotations if rot)
+    roots = [dart for rot in plane.rotations if len(rot) == least for dart in rot]
     best: tuple[int, ...] | None = None
-    for root in sorted(sigma):
+    for root in roots:
         number = {root: 0}
         order = [root]
         idx = 0

@@ -9,7 +9,9 @@ The Tutte polynomial is computed two ways: a spanning-subgraph sum
 used as the oracle, and the usual deletion-contraction recursion.  c counts
 connected components, isolated vertices included; c(S) + |S| - |V| is the
 total excess of the spanning subgraph (V, S), the number of independent
-cycles in it.
+cycles in it.  The sum is tallied by a transfer over the edges whose state
+is the component labelling of the vertices, so subsets that connect the
+vertices alike are counted together rather than visited one by one.
 
 The circuit-partition polynomial j(G; z) of an Eulerian digraph is the
 generating function sum of r_t z^t, where r_t counts the transition systems
@@ -24,7 +26,6 @@ isolated vertices.  ``martin_rhs`` builds the right-hand side.
 
 from __future__ import annotations
 
-import itertools
 from math import comb, factorial
 
 from .errors import CapacityError
@@ -36,6 +37,7 @@ from .graphs import (
     _union_find,
     connected_components,
 )
+from .matrixfn import _link_chains
 from .polynomials import BivarPolynomial, UniPolynomial
 
 SUBGRAPH_SUM_DEFAULT_MAX_EDGES = 16
@@ -45,25 +47,47 @@ TRANSITION_DEFAULT_MAX_SYSTEMS = 10**7
 
 def _subgraph_tally(graph: Multigraph) -> dict[tuple[int, int], int]:
     """Spanning subgraphs (V, S) counted by (c(S) - c(G), c(S) + |S| - |V|),
-    the exponent pair of the subgraph sum; enumerates all 2^|E| subsets."""
+    the exponent pair of the subgraph sum.
+
+    A connectivity-state transfer over the edges in id order: a state is the
+    component labelling of the vertices under the edges chosen so far, each
+    component labelled in order of its first vertex, mapped to the number of
+    edge choices reaching it per |S|.  Leaving an edge out keeps the state;
+    taking it merges its endpoints' labels, or, for a loop or an edge inside
+    one component, only bumps |S|.  c(S) is read off the final labels."""
     n = graph.num_vertices
-    edges = graph.edges
-    m = len(edges)
-    c_full, _ = _union_find(n, edges)
+    c_full, _ = _union_find(n, graph.edges)
+    states: dict[tuple[int, ...], dict[int, int]] = {tuple(range(n)): {0: 1}}
+    for u, v in graph.edges:
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for labels, by_size in states.items():
+            out = nxt.setdefault(labels, {})
+            for s, count in by_size.items():
+                out[s] = out.get(s, 0) + count
+            a, b = labels[u], labels[v]
+            if a != b:  # the later-labelled component joins the earlier one
+                if a > b:
+                    a, b = b, a
+                labels = tuple([a if x == b else x - (x > b) for x in labels])
+            out = nxt.setdefault(labels, {})
+            for s, count in by_size.items():
+                out[s + 1] = out.get(s + 1, 0) + count
+        states = nxt
     tally: dict[tuple[int, int], int] = {}
-    for mask in range(1 << m):
-        subset = [edges[i] for i in range(m) if mask >> i & 1]
-        c, _ = _union_find(n, subset)
-        key = (c - c_full, c + len(subset) - n)
-        tally[key] = tally.get(key, 0) + 1
+    for labels, by_size in states.items():
+        c = max(labels, default=-1) + 1
+        for s, count in by_size.items():
+            key = (c - c_full, c + s - n)
+            tally[key] = tally.get(key, 0) + count
     return tally
 
 
 def tutte_subgraph_sum(
     graph: Multigraph, *, max_edges: int = SUBGRAPH_SUM_DEFAULT_MAX_EDGES
 ) -> BivarPolynomial:
-    """The spanning-subgraph sum, expanded exactly into the (x, y) basis.
-    Enumerates all 2^|E| subsets; the independent oracle for ``tutte``."""
+    """The spanning-subgraph sum, expanded exactly into the (x, y) basis from
+    the connectivity-state tally; the independent oracle for ``tutte``, as
+    it never deletes or contracts an edge."""
     m = graph.num_edges
     if m > max_edges:
         raise CapacityError(f"subgraph sum limited to {max_edges} edges, got {m}")
@@ -145,25 +169,29 @@ def circuit_partition_poly(
 ) -> UniPolynomial:
     """Generating function of transition systems by circuit count.
 
-    Requires in-degree = out-degree at every vertex.  Enumerates the product
-    of per-vertex bijections; the product of degree factorials is capped at
-    ``max_systems``.
+    Requires in-degree = out-degree at every vertex, checked at every vertex
+    before the system count.  A transition system is a permutation of the
+    arcs sending each arc to an out-arc of its head, and its circuits are
+    the permutation's cycles, so the package's chain-linking search counts
+    them with every cycle keyed 1.  The product of degree factorials is
+    capped at ``max_systems``.
     """
     n = graph.num_vertices
     arcs = graph.arcs
-    in_arcs: list[list[int]] = [[] for _ in range(n)]
-    out_arcs: list[list[int]] = [[] for _ in range(n)]
+    in_degree = [0] * n
+    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for aid, (u, v) in enumerate(arcs):
-        out_arcs[u].append(aid)
-        in_arcs[v].append(aid)
-    systems = 1
+        out_arcs[u].append((aid, 1))
+        in_degree[v] += 1
     for v in range(n):
-        if len(in_arcs[v]) != len(out_arcs[v]):
+        if in_degree[v] != len(out_arcs[v]):
             raise ValueError(
-                f"vertex {v} is not Eulerian: in-degree {len(in_arcs[v])}"
+                f"vertex {v} is not Eulerian: in-degree {in_degree[v]}"
                 f" != out-degree {len(out_arcs[v])}"
             )
-        systems *= factorial(len(in_arcs[v]))
+    systems = 1
+    for v in range(n):
+        systems *= factorial(in_degree[v])
         if systems > max_systems:
             raise CapacityError(
                 f"transition-system count exceeds {max_systems} at vertex {v}"
@@ -171,25 +199,10 @@ def circuit_partition_poly(
     if not arcs:
         return UniPolynomial.constant(1)
 
-    active = [v for v in range(n) if in_arcs[v]]
     counts = [0] * (len(arcs) + 1)
-    succ = [0] * len(arcs)
-    choices = [itertools.permutations(out_arcs[v]) for v in active]
-    for assignment in itertools.product(*choices):
-        for vi, perm in enumerate(assignment):
-            ins = in_arcs[active[vi]]
-            for pos, a in enumerate(ins):
-                succ[a] = perm[pos]
-        seen = [False] * len(arcs)
-        circuits = 0
-        for a in range(len(arcs)):
-            if not seen[a]:
-                circuits += 1
-                b = a
-                while not seen[b]:
-                    seen[b] = True
-                    b = succ[b]
-        counts[circuits] += 1
+    successors = [out_arcs[head] for _, head in arcs]
+    for circuits, count in _link_chains(successors, [1] * len(counts)).items():
+        counts[circuits] = count
     return UniPolynomial(tuple(counts))
 
 

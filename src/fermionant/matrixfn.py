@@ -27,9 +27,11 @@ so k = 1 recovers the determinant.  Three routes are provided:
 
 The class sums w_mu (for each cycle type mu, the weight summed over the
 permutations of that type) come from the package's one permutation sweep, a
-depth-first search that prunes at zero entries.  It is memoised on the last
-matrix, so ``brute``, ``fermionant_cycle_poly``, ``cycle_type_weight_sums``,
-``immanant`` and ``immanants`` share a single sweep per matrix.
+depth-first chain-linking search that prunes at zero entries.  The class
+sums are memoised on the last matrix, so ``brute``, ``fermionant_cycle_poly``,
+``cycle_type_weight_sums``, ``immanant`` and ``immanants`` share a single
+sweep per matrix; the same search, keyed by cycle count, enumerates the
+transition systems of ``graphpoly.circuit_partition_poly``.
 
 All arithmetic is exact; capacity bounds are keyword-tunable with the safe
 defaults given above.  Everything here is a pure function; the dp route is
@@ -140,41 +142,38 @@ def permanent(a: Matrix, *, max_n: int = PERMANENT_DEFAULT_MAX_N) -> int:
     return sign * total
 
 
-@lru_cache(maxsize=1)
-def _class_sums(a: Matrix) -> tuple[tuple[Partition, int], ...]:
-    """For each cycle type mu, the sum of prod A[i, pi(i)] over the
-    permutations of type mu with nonzero weight; the package's one sweep.
+def _link_chains(succ: list[list[tuple[int, int]]], power: list[int]) -> dict[int, int]:
+    """Weight sums of the permutations pi of 0..N-1 that send each i to one
+    of its listed successors, succ[i] = [(j, x), ...] with weight x, keyed by
+    the sum of power[length] over the cycles of pi; the weight of pi is the
+    product of its chosen x.  The package's one permutation search, N >= 1.
 
-    Row i goes to a free column depth first, and a zero entry prunes its
-    whole subtree.  The placed arcs form chains head -> ... -> tail; row i is
-    always a tail and a free column always a head, so each arc closes a cycle
-    or joins two chains in O(1).  A cycle type is carried as the integer key
-    sum of (n+1)^length over its cycles.  The result is a tuple, so callers
-    cannot corrupt the memo.
+    Element i picks a free successor depth first, so an element without a
+    free listed successor prunes its whole subtree.  The placed pairs form
+    chains head -> ... -> tail; element i is always a tail and a free
+    successor always a head, so each pick closes a cycle or joins two chains
+    in O(1), and is undone on return.
     """
-    n = a.n
-    if n == 0:
-        return ((Partition(()), 1),)
-    rows = a.rows
-    nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
-    power = [(n + 1) ** length for length in range(n + 1)]
+    n = len(succ)
     head = list(range(n))  # head[t] of the chain ending at tail t
     tail = list(range(n))  # tail[h] of the chain starting at head h
-    size = [1] * n  # size[h]: vertices on the chain starting at head h
+    size = [1] * n  # size[h]: elements on the chain starting at head h
     free = [True] * n
     last = n - 1
-    last_row = rows[last]
+    last_weight = [0] * n  # x of last -> j, 0 where j is not listed
+    for j, x in succ[last]:
+        last_weight[j] = x
     sums: dict[int, int] = {}
 
     def extend(i: int, w: int, key: int) -> None:
         h = head[i]
-        if i == last:  # one free column is left, and it closes the chain
-            x = last_row[h]
+        if i == last:  # one successor is free, and it closes the chain
+            x = last_weight[h]
             if x:
                 key += power[size[h]]
                 sums[key] = sums.get(key, 0) + w * x
             return
-        for j, x in nonzero[i]:
+        for j, x in succ[i]:
             if not free[j]:
                 continue
             free[j] = False
@@ -195,8 +194,25 @@ def _class_sums(a: Matrix) -> tuple[tuple[Partition, int], ...]:
     extend(0, 1, 0)
     # extend refers to itself through its closure; breaking that cycle frees
     # the search state now rather than at the next cyclic collection, which
-    # otherwise lets one dead state per matrix pile up and raise peak memory
+    # otherwise lets one dead state per call pile up and raise peak memory
     del extend
+    return sums
+
+
+@lru_cache(maxsize=1)
+def _class_sums(a: Matrix) -> tuple[tuple[Partition, int], ...]:
+    """For each cycle type mu, the sum of prod A[i, pi(i)] over the
+    permutations of type mu with nonzero weight: the chain-linking search
+    over the nonzero entries of each row, a cycle type carried as the
+    integer key sum of (n+1)^length over its cycles.  A zero entry prunes
+    its whole subtree.  The result is a tuple, so callers cannot corrupt the
+    memo.
+    """
+    n = a.n
+    if n == 0:
+        return ((Partition(()), 1),)
+    nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in a.rows]
+    sums = _link_chains(nonzero, [(n + 1) ** length for length in range(n + 1)])
     return tuple((_decode_cycle_type(key, n), w) for key, w in sums.items())
 
 

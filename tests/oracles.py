@@ -121,3 +121,69 @@ def cycle_cover_fermionant_brute(rows: list[list[int]], k: int) -> int:
             w *= rows[i][perm[i]]
         total += (-k) ** len(permutation_cycle_lengths(perm)) * w
     return (-1) ** n * total
+
+
+def _component_count(num_vertices: int, edges) -> int:
+    """Components of the graph on 0..num_vertices-1, by depth-first search
+    from every unvisited vertex (isolated vertices included)."""
+    adjacent: list[list[int]] = [[] for _ in range(num_vertices)]
+    for u, v in edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    seen = [False] * num_vertices
+    count = 0
+    for start in range(num_vertices):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for y in adjacent[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+    return count
+
+
+def subgraph_tally_brute(num_vertices: int, edges) -> dict[tuple[int, int], int]:
+    """Spanning subgraphs (V, S) counted by (c(S) - c(G), c(S) + |S| - |V|),
+    visiting all 2^|E| edge subsets one by one."""
+    c_full = _component_count(num_vertices, edges)
+    tally: dict[tuple[int, int], int] = {}
+    for size in range(len(edges) + 1):
+        for subset in itertools.combinations(edges, size):
+            c = _component_count(num_vertices, subset)
+            key = (c - c_full, c + size - num_vertices)
+            tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def circuit_poly_brute(num_vertices: int, arcs) -> tuple[int, ...]:
+    """Coefficients of the circuit-partition polynomial of a balanced
+    digraph: the product over vertices of every bijection from its in-arcs
+    to its out-arcs, each system's closed walks counted by following arcs."""
+    in_arcs: list[list[int]] = [[] for _ in range(num_vertices)]
+    out_arcs: list[list[int]] = [[] for _ in range(num_vertices)]
+    for aid, (u, v) in enumerate(arcs):
+        out_arcs[u].append(aid)
+        in_arcs[v].append(aid)
+    counts = [0] * (len(arcs) + 1)
+    per_vertex = [itertools.permutations(out_arcs[v]) for v in range(num_vertices)]
+    for system in itertools.product(*per_vertex):
+        nxt = {}
+        for v, outs in enumerate(system):
+            nxt.update(zip(in_arcs[v], outs))
+        walks = 0
+        unvisited = set(range(len(arcs)))
+        while unvisited:
+            walks += 1
+            a = unvisited.pop()
+            a = nxt[a]
+            while a in unvisited:
+                unvisited.remove(a)
+                a = nxt[a]
+        counts[walks] += 1
+    while len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    return tuple(counts)

@@ -82,6 +82,14 @@ def test_circuit_poly_subcommand(capsys, tmp_path):
     assert "vertex" in err
 
 
+def test_circuit_poly_unbalanced_beyond_the_cap_is_input_error(capsys, tmp_path):
+    path = tmp_path / "lopsided.json"
+    path.write_text(write_graph(Digraph(3, ((0, 0),) * 11 + ((1, 2),))), encoding="utf-8")
+    code, out, err = run(capsys, ["circuit-poly", "--graph", str(path)])
+    assert (code, out) == (2, "")
+    assert "vertex 1 is not Eulerian" in err
+
+
 def test_medial_and_line_digraph_subcommands(capsys, tmp_path, triangle_file):
     out_path = tmp_path / "medial.json"
     code, out, _ = run(capsys, ["medial", "--graph", triangle_file, "--out", str(out_path)])

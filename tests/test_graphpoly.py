@@ -18,6 +18,7 @@ from fermionant import (
 )
 
 from conftest import cycle_graph, k4, loop_plane, path_graph, single_edge_plane, triangle_plane
+from oracles import circuit_poly_brute, subgraph_tally_brute
 
 
 def test_tutte_base_cases():
@@ -92,6 +93,66 @@ def test_bridges_match_definition():
     assert seen == {"bridge", "loop", "parallel", "isolated", "components"}
 
 
+def test_subgraph_tally_matches_brute_force():
+    """The connectivity-state tally against every edge subset visited one by
+    one, on multigraphs mixing loops, parallel edges, isolated vertices,
+    several components and the empty graph."""
+    from fermionant.graphpoly import _subgraph_tally
+
+    rng = random.Random(31)
+    seen = set()
+    for trial in range(420):
+        n = rng.randint(0, 6)
+        edges = tuple(
+            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9) if n else 0)
+        )
+        if edges and rng.random() < 0.4:
+            edges += (rng.choice(edges),)
+        assert _subgraph_tally(Multigraph(n, edges)) == subgraph_tally_brute(n, edges), (n, edges)
+        c, _ = connected_components(Multigraph(n, edges))
+        touched = len({w for e in edges for w in e})
+        features = {
+            "empty": n == 0,
+            "loop": any(u == v for u, v in edges),
+            "parallel": any(u != v and edges.count((u, v)) > 1 for u, v in edges),
+            "isolated": touched < n,
+            "components": c - (n - touched) > 1,  # components that have edges
+        }
+        seen.update(name for name, present in features.items() if present)
+    assert seen == {"empty", "loop", "parallel", "isolated", "components"}
+
+
+def test_circuit_poly_matches_brute_force():
+    """Transition systems counted by the chain-linking search against the
+    product of per-vertex bijections, on balanced digraphs (unions of random
+    closed walks) with loops, parallel arcs, isolated vertices and vertices
+    of in-degree 3 or more."""
+    rng = random.Random(47)
+    seen = set()
+    for trial in range(320):
+        active = rng.randint(1, 4)
+        n = active + rng.randint(0, 2)
+        budget = rng.randint(0, 7)
+        arcs: list[tuple[int, int]] = []
+        while budget > 0:
+            length = rng.randint(1, budget)
+            walk = [rng.randrange(active) for _ in range(length)]
+            arcs += [(walk[i], walk[(i + 1) % length]) for i in range(length)]
+            budget -= length
+        got = circuit_partition_poly(Digraph(n, tuple(arcs))).coeffs
+        assert got == circuit_poly_brute(n, arcs), (n, arcs)
+        in_degree = [sum(1 for _, v in arcs if v == w) for w in range(n)]
+        features = {
+            "loop": any(u == v for u, v in arcs),
+            "parallel": any(u != v and arcs.count((u, v)) > 1 for u, v in arcs),
+            "isolated": 0 in in_degree,
+            "in_degree_3": max(in_degree) >= 3,
+            "several_circuits": len(got) > 2,
+        }
+        seen.update(name for name, present in features.items() if present)
+    assert seen == {"loop", "parallel", "isolated", "in_degree_3", "several_circuits"}
+
+
 def test_deletion_contraction_consistency():
     rng = random.Random(9)
     from fermionant.graphpoly import _bridges
@@ -148,6 +209,14 @@ def test_circuit_poly_rejects_unbalanced():
         circuit_partition_poly(Digraph(2, ((0, 1),)))
     with pytest.raises(CapacityError):
         circuit_partition_poly(Digraph(1, ((0, 0),) * 12), max_systems=1000)
+
+
+def test_circuit_poly_checks_balance_before_counting_systems():
+    """Vertex 0's eleven loops alone exceed the system cap, but vertex 1 is
+    unbalanced, so the input is rejected before any count is taken."""
+    lopsided = Digraph(3, ((0, 0),) * 11 + ((1, 2),))
+    with pytest.raises(ValueError, match="vertex 1 is not Eulerian"):
+        circuit_partition_poly(lopsided)
 
 
 def test_circuit_poly_shape_properties():
