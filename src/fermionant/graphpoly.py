@@ -10,8 +10,9 @@ used as the oracle, and the usual deletion-contraction recursion.  c counts
 connected components, isolated vertices included; c(S) + |S| - |V| is the
 total excess of the spanning subgraph (V, S), the number of independent
 cycles in it.  The sum is tallied by a transfer over the edges whose state
-is the component labelling of the vertices, so subsets that connect the
-vertices alike are counted together rather than visited one by one.
+is the component labelling of the vertices with an edge still to come, so
+subsets that connect those vertices alike are counted together rather than
+visited one by one.
 
 The circuit-partition polynomial j(G; z) of an Eulerian digraph is the
 generating function sum of r_t z^t, where r_t counts the transition systems
@@ -52,33 +53,61 @@ def _subgraph_tally(graph: Multigraph) -> dict[tuple[int, int], int]:
     A connectivity-state transfer over the edges in id order: a state is the
     component labelling of the vertices under the edges chosen so far, each
     component labelled in order of its first vertex, mapped to the number of
-    edge choices reaching it per |S|.  Leaving an edge out keeps the state;
-    taking it merges its endpoints' labels, or, for a loop or an edge inside
-    one component, only bumps |S|.  c(S) is read off the final labels."""
+    edge choices reaching it per (closed components, |S|).  Leaving an edge
+    out keeps the state; taking it merges its endpoints' labels, or, for a
+    loop or an edge inside one component, only bumps |S|.  After its last
+    edge a vertex drops out of the labelling, and a component left with no
+    labelled vertex is counted closed, so choices that differ only among
+    finished vertices share a state.  c(S) is the closed count plus the
+    edgeless vertices."""
     n = graph.num_vertices
-    c_full, _ = _union_find(n, graph.edges)
+    edges = graph.edges
+    c_full, _ = _union_find(n, edges)
+    last_edge = {}
+    for e, (u, v) in enumerate(edges):
+        last_edge[u] = last_edge[v] = e
+    step = len(edges) + 1  # a count's key is |S| + step * (closed components)
     states: dict[tuple[int, ...], dict[int, int]] = {tuple(range(n)): {0: 1}}
-    for u, v in graph.edges:
+    for e, (u, v) in enumerate(edges):
         nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for labels, by_size in states.items():
+        for labels, counts in states.items():
             out = nxt.setdefault(labels, {})
-            for s, count in by_size.items():
-                out[s] = out.get(s, 0) + count
+            for key, count in counts.items():
+                out[key] = out.get(key, 0) + count
             a, b = labels[u], labels[v]
             if a != b:  # the later-labelled component joins the earlier one
                 if a > b:
                     a, b = b, a
                 labels = tuple([a if x == b else x - (x > b) for x in labels])
             out = nxt.setdefault(labels, {})
-            for s, count in by_size.items():
-                out[s + 1] = out.get(s + 1, 0) + count
+            for key, count in counts.items():
+                out[key + 1] = out.get(key + 1, 0) + count
         states = nxt
+        finished = [w for w in {u, v} if last_edge[w] == e]
+        if not finished:
+            continue
+        nxt = {}
+        for labels, counts in states.items():
+            marks = list(labels)
+            shift = 0
+            for w in finished:
+                a = marks[w]
+                marks[w] = -1
+                if a not in marks:
+                    shift += step
+            order: dict[int, int] = {}
+            labels = tuple([order.setdefault(x, len(order)) if x >= 0 else -1 for x in marks])
+            out = nxt.setdefault(labels, {})
+            for key, count in counts.items():
+                out[key + shift] = out.get(key + shift, 0) + count
+        states = nxt
+    edgeless = n - len(last_edge)
     tally: dict[tuple[int, int], int] = {}
-    for labels, by_size in states.items():
-        c = max(labels, default=-1) + 1
-        for s, count in by_size.items():
-            key = (c - c_full, c + s - n)
-            tally[key] = tally.get(key, 0) + count
+    for counts in states.values():
+        for key, count in counts.items():
+            c = key // step + edgeless
+            pair = (c - c_full, c + key % step - n)
+            tally[pair] = tally.get(pair, 0) + count
     return tally
 
 

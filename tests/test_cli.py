@@ -90,6 +90,17 @@ def test_circuit_poly_unbalanced_beyond_the_cap_is_input_error(capsys, tmp_path)
     assert "vertex 1 is not Eulerian" in err
 
 
+def test_circuit_poly_long_cycle(capsys, tmp_path):
+    n = 2000
+    path = tmp_path / "cycle.json"
+    path.write_text(
+        write_graph(Digraph(n, tuple((i, (i + 1) % n) for i in range(n)))), encoding="utf-8"
+    )
+    code, out, _ = run(capsys, ["circuit-poly", "--graph", str(path)])
+    assert code == 0
+    assert json.loads(out)["coefficients"] == ["0", "1"]
+
+
 def test_medial_and_line_digraph_subcommands(capsys, tmp_path, triangle_file):
     out_path = tmp_path / "medial.json"
     code, out, _ = run(capsys, ["medial", "--graph", triangle_file, "--out", str(out_path)])

@@ -153,6 +153,27 @@ def test_circuit_poly_matches_brute_force():
     assert seen == {"loop", "parallel", "isolated", "in_degree_3", "several_circuits"}
 
 
+def test_circuit_poly_long_closed_walks():
+    """Arcs into a vertex of out-degree 1 have no choice, so a long closed
+    walk costs no search depth: a 2000-arc directed cycle has the single
+    one-circuit system, and a 1200-vertex walk through a few vertices more
+    than once matches the per-vertex bijections."""
+    n = 2000
+    cycle = tuple((i, (i + 1) % n) for i in range(n))
+    assert circuit_partition_poly(Digraph(n, cycle)).coeffs == (0, 1)
+
+    def closed_walk(walk: list[int]) -> tuple[tuple[int, int], ...]:
+        return tuple((walk[i], walk[(i + 1) % len(walk)]) for i in range(len(walk)))
+
+    # vertex 0 three times: the systems are S_3, counted by z(z+1)(z+2)
+    walk = [*range(400), 0, *range(400, 800), 0, *range(800, 1200)]
+    assert circuit_partition_poly(Digraph(1200, closed_walk(walk))).coeffs == (0, 2, 3, 1)
+    arcs = closed_walk([*range(1200), 100, 500, 900])
+    got = circuit_partition_poly(Digraph(1200, arcs)).coeffs
+    assert got == circuit_poly_brute(1200, arcs)
+    assert len(got) > 2
+
+
 def test_deletion_contraction_consistency():
     rng = random.Random(9)
     from fermionant.graphpoly import _bridges
