@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -172,6 +173,26 @@ def test_parse_and_capacity_exit_codes(capsys, tmp_path):
 
     code, _, err = run(capsys, ["ferm", "--matrix", str(tmp_path / "none.json"), "--k", "1"])
     assert code == 2
+
+
+def test_ham_count_capacity_exit_code(capsys, tmp_path):
+    rng = random.Random(18)
+
+    def cycle_file(n):
+        perm = rng.sample(range(n), n)
+        edges = [[perm[i], perm[(i + 1) % n]] for i in range(n)]
+        path = tmp_path / f"c{n}.json"
+        path.write_text(json.dumps({"kind": "multigraph", "num_vertices": n, "edges": edges}),
+                        encoding="utf-8")
+        return str(path)
+
+    code, out, err = run(capsys, ["ham-count", "--graph", cycle_file(19)])
+    assert code == 3
+    assert "capacity" in err
+    assert out == ""
+    code, out, _ = run(capsys, ["ham-count", "--graph", cycle_file(18)])
+    assert code == 0
+    assert json.loads(out) == {"count": "1"}
 
 
 def test_verify_subcommand_deterministic(capsys):

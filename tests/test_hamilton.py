@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -8,10 +9,13 @@ from fermionant import (
     CapacityError,
     Multigraph,
     adjacency_matrix,
+    connected_components,
     count_hamiltonian_cycles,
     fermionant,
     ham_parity_via_ferm2,
 )
+
+from fermionant.hamilton import HAMILTONIAN_DEFAULT_MAX_N
 
 from conftest import cycle_graph, k4, path_graph, petersen
 
@@ -19,6 +23,20 @@ from conftest import cycle_graph, k4, path_graph, petersen
 def random_simple_graph(rng, n, p):
     edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
     return Multigraph(n, edges)
+
+
+def relabel(graph, rng):
+    perm = list(range(graph.num_vertices))
+    rng.shuffle(perm)
+    return Multigraph(graph.num_vertices, tuple((perm[u], perm[v]) for u, v in graph.edges))
+
+
+def complete_graph(n):
+    return Multigraph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
+def complete_bipartite(a, b):
+    return Multigraph(a + b, tuple((u, a + v) for u in range(a) for v in range(b)))
 
 
 def test_count_examples():
@@ -37,13 +55,15 @@ def test_count_ignores_parallel_edges_and_loops():
 
 
 def test_count_complete_graphs():
-    # (n-1)!/2 undirected Hamiltonian cycles in K_n
-    for n in (4, 5, 6):
-        kn = Multigraph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+    # (n-1)!/2 undirected Hamiltonian cycles in K_n, whatever the labelling
+    rng = random.Random(1962)
+    for n in range(3, 17):
         expected = 1
         for i in range(2, n):
             expected *= i
-        assert count_hamiltonian_cycles(kn) == expected // 2
+        kn = complete_graph(n)
+        assert count_hamiltonian_cycles(kn) == expected // 2, n
+        assert count_hamiltonian_cycles(relabel(kn, rng)) == expected // 2, n
 
 
 def ham_count_brute(graph):
@@ -124,3 +144,71 @@ def test_orientation_factor_on_odd_cycles():
         cn = cycle_graph(n)
         f = fermionant(adjacency_matrix(cn), 2, "dp")
         assert f == (-1) ** (n + 1) * 4 * count_hamiltonian_cycles(cn)
+
+
+def noisy_multigraph(rng, n):
+    """Seeded graph on n vertices with loops and parallel edges, and now and
+    then an isolated vertex or an edge cut that splits it in two."""
+    p = rng.choice((0.5, 0.8, 1.0))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    shape = rng.choice(("whole", "whole", "isolated", "split"))
+    if shape == "isolated":
+        x = rng.randrange(n)
+        edges = [e for e in edges if x not in e]
+    elif shape == "split":
+        side = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        edges = [(u, v) for u, v in edges if (u in side) == (v in side)]
+    edges += [(x, x) for x in rng.sample(range(n), rng.randint(0, 3))]
+    edges += rng.sample(edges, min(len(edges), rng.randint(0, 4)))
+    rng.shuffle(edges)
+    return Multigraph(n, tuple(edges))
+
+
+def test_count_matches_brute_past_the_low_block():
+    # n - 1 > _LOW_BLOCK for n = 9, 10, so paths extend to both high and low
+    # vertices; n = 8 fills the low block exactly
+    import fermionant.hamilton as hamilton_module
+
+    assert hamilton_module._LOW_BLOCK < 8
+    rng = random.Random(8128)
+    seen = set()
+    for n in (8,) * 8 + (9,) * 5 + (10,):
+        g = noisy_multigraph(rng, n)
+        expected = ham_count_brute(g)
+        assert count_hamiltonian_cycles(g) == expected, (n, g.edges)
+        simple = {(min(e), max(e)) for e in g.edges if e[0] != e[1]}
+        seen.add("counted" if expected else "zero")
+        if any(u == v for u, v in g.edges):
+            seen.add("loop")
+        if len(simple) < sum(u != v for u, v in g.edges):
+            seen.add("parallel")
+        if any(all(x not in e for e in simple) for x in range(n)):
+            seen.add("isolated")
+        if connected_components(g)[0] > 1:
+            seen.add("disconnected")
+    assert seen == {"counted", "zero", "loop", "parallel", "isolated", "disconnected"}
+
+
+@pytest.mark.parametrize("low", (1, 2, 3))
+def test_count_matches_brute_at_every_split(monkeypatch, low):
+    import fermionant.hamilton as hamilton_module
+
+    monkeypatch.setattr(hamilton_module, "_LOW_BLOCK", low)
+    rng = random.Random(40 + low)
+    for trial in range(30):
+        g = noisy_multigraph(rng, rng.randint(3, 7))
+        assert count_hamiltonian_cycles(g) == ham_count_brute(g), (low, g.edges)
+
+
+def test_closed_forms_under_relabelling():
+    rng = random.Random(1962)
+    for a in range(2, 10):
+        expected = math.factorial(a) * math.factorial(a - 1) // 2
+        assert count_hamiltonian_cycles(relabel(complete_bipartite(a, a), rng)) == expected, a
+        if 2 * a + 1 <= HAMILTONIAN_DEFAULT_MAX_N:
+            assert count_hamiltonian_cycles(relabel(complete_bipartite(a, a + 1), rng)) == 0, a
+    for n in range(3, 19):
+        assert count_hamiltonian_cycles(relabel(cycle_graph(n), rng)) == 1, n
+    for n in range(3, 18):
+        pendant = Multigraph(n + 1, cycle_graph(n).edges + ((rng.randrange(n), n),))
+        assert count_hamiltonian_cycles(relabel(pendant, rng)) == 0, n
