@@ -38,7 +38,6 @@ from .graphs import (
     _union_find,
     connected_components,
 )
-from .matrixfn import _link_chains
 from .polynomials import BivarPolynomial, UniPolynomial
 
 SUBGRAPH_SUM_DEFAULT_MAX_EDGES = 16
@@ -193,6 +192,93 @@ def tutte_diagonal(
     return sum(count * (x - 1) ** (a + b) for (a, b), count in _subgraph_tally(graph).items())
 
 
+def _link_chains(succ: list[list[tuple[int, int]]], power: list[int]) -> dict[int, int]:
+    """Weight sums of the permutations pi of 0..N-1 that send each i to one
+    of its listed successors, succ[i] = [(j, x), ...] with weight x, keyed by
+    the sum of power[length] over the cycles of pi; the weight of pi is the
+    product of its chosen x.  The search behind ``circuit_partition_poly``,
+    N >= 1.
+
+    The placed pairs form chains head -> ... -> tail.  An element with one
+    listed successor is placed before the search, so the search recurses
+    only through the elements with a choice, however many are forced.  Each
+    of those then picks a free successor depth first, so an element without
+    a free listed successor prunes its whole subtree.  An element not yet
+    placed is always a tail and a free successor always a head, so each pick
+    closes a cycle or joins two chains in O(1), and is undone on return.
+    """
+    n = len(succ)
+    head = list(range(n))  # head[t] of the chain ending at tail t
+    tail = list(range(n))  # tail[h] of the chain starting at head h
+    size = [1] * n  # size[h]: elements on the chain starting at head h
+    free = [True] * n
+    key0, w0 = 0, 1
+    choosers: list[int] = []
+    for i, options in enumerate(succ):
+        if len(options) != 1:
+            if not options:
+                return {}
+            choosers.append(i)
+            continue
+        ((j, x),) = options
+        if not free[j]:
+            return {}
+        free[j] = False
+        w0 *= x
+        h = head[i]
+        if j == h:
+            key0 += power[size[h]]
+        else:
+            t = tail[j]
+            tail[h] = t
+            head[t] = h
+            size[h] += size[j]
+    if not choosers:  # the forced pairs are a bijection, all cycles closed
+        return {key0: w0}
+    last = choosers[-1]
+    last_weight = [0] * n  # x of last -> j, 0 where j is not listed
+    for j, x in succ[last]:
+        last_weight[j] = x
+    order = choosers[:-1]
+    depth = len(order)
+    sums: dict[int, int] = {}
+
+    def extend(d: int, w: int, key: int) -> None:
+        if d == depth:  # one successor is free, and it closes the chain
+            h = head[last]
+            x = last_weight[h]
+            if x:
+                key += power[size[h]]
+                sums[key] = sums.get(key, 0) + w * x
+            return
+        i = order[d]
+        h = head[i]
+        for j, x in succ[i]:
+            if not free[j]:
+                continue
+            free[j] = False
+            if j == h:
+                extend(d + 1, w * x, key + power[size[h]])
+            else:
+                t = tail[j]
+                tail[h] = t
+                head[t] = h
+                size_h = size[h]
+                size[h] = size_h + size[j]
+                extend(d + 1, w * x, key)
+                tail[h] = i
+                head[t] = j
+                size[h] = size_h
+            free[j] = True
+
+    extend(0, w0, key0)
+    # extend refers to itself through its closure; breaking that cycle frees
+    # the search state now rather than at the next cyclic collection, which
+    # otherwise lets one dead state per call pile up and raise peak memory
+    del extend
+    return sums
+
+
 def circuit_partition_poly(
     graph: Digraph, *, max_systems: int = TRANSITION_DEFAULT_MAX_SYSTEMS
 ) -> UniPolynomial:
@@ -201,9 +287,9 @@ def circuit_partition_poly(
     Requires in-degree = out-degree at every vertex, checked at every vertex
     before the system count.  A transition system is a permutation of the
     arcs sending each arc to an out-arc of its head, and its circuits are
-    the permutation's cycles, so the package's chain-linking search counts
-    them with every cycle keyed 1.  The product of degree factorials is
-    capped at ``max_systems``.
+    the permutation's cycles, so the chain-linking search ``_link_chains``
+    visits the systems one by one, every cycle keyed 1.  The product of
+    degree factorials is capped at ``max_systems``.
     """
     n = graph.num_vertices
     arcs = graph.arcs

@@ -26,12 +26,14 @@ so k = 1 recovers the determinant.  Three routes are provided:
                    * (immanant of the transposed diagram), for integer k >= 1.
 
 The class sums w_mu (for each cycle type mu, the weight summed over the
-permutations of that type) come from the package's one permutation sweep, a
-depth-first chain-linking search that prunes at zero entries.  The class
-sums are memoised on the last matrix, so ``brute``, ``fermionant_cycle_poly``,
-``cycle_type_weight_sums``, ``immanant`` and ``immanants`` share a single
-sweep per matrix; the same search, keyed by cycle count, enumerates the
-transition systems of ``graphpoly.circuit_partition_poly``.
+permutations of that type) come from a transfer over the rows: a state is
+the set of open chains the rows placed so far leave, with the cycle type
+closed so far, so partial permutations that leave the same chains are summed
+together rather than swept one by one, and zero entries make no move.  The
+class sums are memoised on the last matrix, so ``brute``,
+``fermionant_cycle_poly``, ``cycle_type_weight_sums``, ``immanant`` and
+``immanants`` share a single transfer per matrix; the immanants route also
+reads the transposed Schur-Weyl expansion once per (n, k).
 
 All arithmetic is exact; capacity bounds are keyword-tunable with the safe
 defaults given above.  Everything here is a pure function; the dp route is
@@ -142,107 +144,64 @@ def permanent(a: Matrix, *, max_n: int = PERMANENT_DEFAULT_MAX_N) -> int:
     return sign * total
 
 
-def _link_chains(succ: list[list[tuple[int, int]]], power: list[int]) -> dict[int, int]:
-    """Weight sums of the permutations pi of 0..N-1 that send each i to one
-    of its listed successors, succ[i] = [(j, x), ...] with weight x, keyed by
-    the sum of power[length] over the cycles of pi; the weight of pi is the
-    product of its chosen x.  The package's one permutation search, N >= 1.
-
-    The placed pairs form chains head -> ... -> tail.  An element with one
-    listed successor is placed before the search, so the search recurses
-    only through the elements with a choice, however many are forced.  Each
-    of those then picks a free successor depth first, so an element without
-    a free listed successor prunes its whole subtree.  An element not yet
-    placed is always a tail and a free successor always a head, so each pick
-    closes a cycle or joins two chains in O(1), and is undone on return.
-    """
-    n = len(succ)
-    head = list(range(n))  # head[t] of the chain ending at tail t
-    tail = list(range(n))  # tail[h] of the chain starting at head h
-    size = [1] * n  # size[h]: elements on the chain starting at head h
-    free = [True] * n
-    key0, w0 = 0, 1
-    choosers: list[int] = []
-    for i, options in enumerate(succ):
-        if len(options) != 1:
-            if not options:
-                return {}
-            choosers.append(i)
-            continue
-        ((j, x),) = options
-        if not free[j]:
-            return {}
-        free[j] = False
-        w0 *= x
-        h = head[i]
-        if j == h:
-            key0 += power[size[h]]
-        else:
-            t = tail[j]
-            tail[h] = t
-            head[t] = h
-            size[h] += size[j]
-    if not choosers:  # the forced pairs are a bijection, all cycles closed
-        return {key0: w0}
-    last = choosers[-1]
-    last_weight = [0] * n  # x of last -> j, 0 where j is not listed
-    for j, x in succ[last]:
-        last_weight[j] = x
-    order = choosers[:-1]
-    depth = len(order)
-    sums: dict[int, int] = {}
-
-    def extend(d: int, w: int, key: int) -> None:
-        if d == depth:  # one successor is free, and it closes the chain
-            h = head[last]
-            x = last_weight[h]
-            if x:
-                key += power[size[h]]
-                sums[key] = sums.get(key, 0) + w * x
-            return
-        i = order[d]
-        h = head[i]
-        for j, x in succ[i]:
-            if not free[j]:
-                continue
-            free[j] = False
-            if j == h:
-                extend(d + 1, w * x, key + power[size[h]])
-            else:
-                t = tail[j]
-                tail[h] = t
-                head[t] = h
-                size_h = size[h]
-                size[h] = size_h + size[j]
-                extend(d + 1, w * x, key)
-                tail[h] = i
-                head[t] = j
-                size[h] = size_h
-            free[j] = True
-
-    extend(0, w0, key0)
-    # extend refers to itself through its closure; breaking that cycle frees
-    # the search state now rather than at the next cyclic collection, which
-    # otherwise lets one dead state per call pile up and raise peak memory
-    del extend
-    return sums
-
-
 @lru_cache(maxsize=1)
 def _class_sums(a: Matrix) -> tuple[tuple[Partition, int], ...]:
     """For each cycle type mu, the sum of prod A[i, pi(i)] over the
-    permutations of type mu with nonzero weight: the chain-linking search
-    over the nonzero entries of each row, a cycle type carried as the
-    integer key sum of (n+1)^length over its cycles.  A zero entry prunes
-    its whole subtree.  The result is a tuple, so callers cannot corrupt the
-    memo.
+    permutations of type mu with nonzero weight, a cycle type carried as the
+    integer key sum of (n+1)^length over its cycles.  The result is a tuple,
+    so callers cannot corrupt the memo.
+
+    A transfer over the rows.  Once rows 0..d-1 are placed, the arcs
+    i -> pi(i) form chains, each ending at a row still to place; a state
+    records, for each such row, the head of its chain and the chain's size,
+    plus the key of the cycles closed so far, and maps to the weight summed
+    over the partial permutations that leave it, so those that leave the
+    same chains are summed rather than visited one by one.  Row d sends its
+    chain over a nonzero entry to a head h: if h heads d's own chain, that
+    closes a cycle and adds (n+1)^size to the key; else the chain of the
+    later row t headed by h takes d's head, and the two sizes add.  A zero
+    entry makes no move, so a state with none left drops out.  A state is
+    one int: the key in the low bits, then one (head, size) slot per row
+    still to place, row d lowest.  States whose weights cancel to 0 are
+    kept, so a class sum that cancels stays a key.
     """
     n = a.n
     if n == 0:
         return ((Partition(()), 1),)
-    nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in a.rows]
-    sums = _link_chains(nonzero, [(n + 1) ** length for length in range(n + 1)])
-    return tuple((_decode_cycle_type(key, n), w) for key, w in sums.items())
+    power = [(n + 1) ** length for length in range(n + 1)]
+    bits = n.bit_length()
+    field = (1 << bits) - 1
+    key_bits = power[n].bit_length()
+    key_mask = (1 << key_bits) - 1
+    width = 2 * bits
+    slots = 0
+    for t in range(n - 1, -1, -1):
+        slots = slots << width | 1 << bits | t
+    states = {slots << key_bits: 1}
+    for row in a.rows:
+        nxt: dict[int, int] = {}
+        for state, w in states.items():
+            slots = state >> key_bits
+            head = slots & field
+            size = slots >> bits & field
+            rest = slots >> width
+            base = state & key_mask | rest << key_bits  # row d's slot dropped
+            x = row[head]
+            if x:  # close the chain of row d into a cycle
+                s = base + power[size]
+                nxt[s] = nxt.get(s, 0) + w * x
+            grow = size << bits
+            shift = key_bits
+            while rest:  # join the chain of a later row t, headed by h
+                h = rest & field
+                x = row[h]
+                if x:
+                    s = base + (head - h + grow << shift)
+                    nxt[s] = nxt.get(s, 0) + w * x
+                rest >>= width
+                shift += width
+        states = nxt
+    return tuple((_decode_cycle_type(key, n), w) for key, w in states.items())
 
 
 def _decode_cycle_type(key: int, n: int) -> Partition:
@@ -274,7 +233,7 @@ def cycle_type_weight_sums(a: Matrix, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> di
     """For each cycle type mu of n, the sum over permutations of type mu of
     prod A[i, pi(i)]; types with no permutation of nonzero weight are absent.
     A fresh dict over the memoised class sums, which also feed the cycle
-    polynomial, so one pruned sweep per matrix serves every route but dp."""
+    polynomial, so one transfer per matrix serves every route but dp."""
     n = a.n
     if n > max_n:
         raise CapacityError(f"class-sum enumeration limited to n <= {max_n}, got {n}")
@@ -428,11 +387,17 @@ def fermionant_via_immanants(
         return 1
     sums = cycle_type_weight_sums(a, max_n=max_n)
     total = 0
-    for lam, d in schur_weyl_expand(n, k).items():
-        lam_t = transpose(lam)
+    for lam_t, d in _transposed_expansion(n, k):
         imm = sum(character(lam_t, mu) * w for mu, w in sums.items())
         total += d * imm
     return total
+
+
+@lru_cache(maxsize=None)
+def _transposed_expansion(n: int, k: int) -> tuple[tuple[Partition, int], ...]:
+    """(transpose(lam), d_lam) over ``schur_weyl_expand(n, k)``, built once
+    per (n, k); a tuple, so callers cannot corrupt the memo."""
+    return tuple((transpose(lam), d) for lam, d in schur_weyl_expand(n, k).items())
 
 
 def fermionant(

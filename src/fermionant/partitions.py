@@ -25,7 +25,7 @@ class Partition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {self.parts}")
         for a, b in itertools.pairwise(self.parts):
             if a < b:

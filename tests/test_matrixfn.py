@@ -215,6 +215,34 @@ def test_class_sums_match_enumeration():
         for _ in range(12):
             a = Matrix(tuple(tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)) for _ in range(n)))
             assert cycle_type_weight_sums(a) == class_sums_by_enumeration(a)
+    # past n = 6 the transfer holds many chain states per row: two dense
+    # matrices, a zero-heavy one and one with a zero diagonal, at n = 7 and 8
+    for n in (7, 8):
+        zero_heavy, zero_diagonal, _, _ = sparse_matrices(rng, n)
+        for a in (random_matrix(rng, n), random_matrix(rng, n), zero_heavy, zero_diagonal):
+            assert cycle_type_weight_sums(a) == class_sums_by_enumeration(a), a
+    # rows with one nonzero entry among the others, the same with a zero row
+    # (no permutation, so no class at all), a permutation matrix (one class)
+    # and two blocks (each permutation a pair of block permutations)
+    for n in (4, 6, 7):
+        rows = [list(r) for r in random_matrix(rng, n).rows]
+        for i in rng.sample(range(n), n // 2):
+            rows[i] = [0] * n
+            rows[i][rng.randrange(n)] = rng.choice((1, -1, 2, -3))
+        one_nonzero = Matrix(tuple(map(tuple, rows)))
+        rows[rng.randrange(n)] = [0] * n
+        assert cycle_type_weight_sums(Matrix(tuple(map(tuple, rows)))) == {}
+        _, _, permutation, _ = sparse_matrices(rng, n)
+        assert len(cycle_type_weight_sums(permutation)) == 1
+        cut = rng.randint(1, n - 1)
+        blocks = Matrix(
+            tuple(
+                tuple(x if (i < cut) == (j < cut) else 0 for j, x in enumerate(r))
+                for i, r in enumerate(random_matrix(rng, n).rows)
+            )
+        )
+        for a in (one_nonzero, permutation, blocks):
+            assert cycle_type_weight_sums(a) == class_sums_by_enumeration(a), a
     assert cycle_type_weight_sums(Matrix(())) == {Partition(()): 1}
     # the two 3-cycles have weights +1 and -1: the class sum cancels to zero
     # but stays a key, and no other type has a nonzero-weight permutation

@@ -38,6 +38,14 @@ def test_partition_validation():
     assert Partition(()).depth == 0
 
 
+def test_partition_rejects_bool_parts():
+    # True == 1, so (True, True) would pass as the shape [1, 1]
+    with pytest.raises(ValueError, match=r"positive integers, got \(True, True\)"):
+        Partition((True, True))
+    with pytest.raises(ValueError, match="positive integers"):
+        Partition((2, False))
+
+
 def test_partition_text_round_trip():
     p = Partition((3, 2, 1))
     assert str(p) == "3,2,1"
