@@ -18,7 +18,10 @@ The circuit-partition polynomial j(G; z) of an Eulerian digraph is the
 generating function sum of r_t z^t, where r_t counts the transition systems
 (one bijection from in-arcs to out-arcs at every vertex) whose induced arc
 decomposition has exactly t closed walks.  r_1 is the number of Eulerian
-circuits.  An arcless digraph yields the constant 1 (empty product).
+circuits.  An arcless digraph yields the constant 1 (empty product).  The
+systems are visited one by one, by a depth-first search in which each arc
+picks a free out-arc of its head, and each system adds one to the count of
+its circuit number; arcs with no choice are linked before the search.
 
 For a plane graph G with directed medial G_m these meet in Martin's
 identity:  j(G_m; z) = z^(c(G)) * T(G; z+1, z+1), valid when G has no
@@ -192,91 +195,72 @@ def tutte_diagonal(
     return sum(count * (x - 1) ** (a + b) for (a, b), count in _subgraph_tally(graph).items())
 
 
-def _link_chains(succ: list[list[tuple[int, int]]], power: list[int]) -> dict[int, int]:
-    """Weight sums of the permutations pi of 0..N-1 that send each i to one
-    of its listed successors, succ[i] = [(j, x), ...] with weight x, keyed by
-    the sum of power[length] over the cycles of pi; the weight of pi is the
-    product of its chosen x.  The search behind ``circuit_partition_poly``,
-    N >= 1.
+def _count_systems(arcs: tuple[tuple[int, int], ...], out_arcs: list[list[int]]) -> list[int]:
+    """counts[c]: the transition systems with c circuits of a balanced
+    digraph with at least one arc.
 
-    The placed pairs form chains head -> ... -> tail.  An element with one
-    listed successor is placed before the search, so the search recurses
-    only through the elements with a choice, however many are forced.  Each
-    of those then picks a free successor depth first, so an element without
-    a free listed successor prunes its whole subtree.  An element not yet
-    placed is always a tail and a free successor always a head, so each pick
-    closes a cycle or joins two chains in O(1), and is undone on return.
+    The placed pairs arc -> out-arc of its head form chains head -> ... ->
+    tail.  An arc into a vertex of out-degree 1 is that vertex's only
+    in-arc, so its pair is placed before the search, which recurses only
+    through the arcs with a choice.  An arc not yet placed is always a tail
+    and a free arc always a head, so each pick closes a circuit or joins two
+    chains in O(1), and is undone on return.  Balance leaves every pick a
+    free out-arc, and leaves the last chooser only the head of its own chain.
     """
-    n = len(succ)
-    head = list(range(n))  # head[t] of the chain ending at tail t
-    tail = list(range(n))  # tail[h] of the chain starting at head h
-    size = [1] * n  # size[h]: elements on the chain starting at head h
-    free = [True] * n
-    key0, w0 = 0, 1
+    m = len(arcs)
+    head = list(range(m))  # head[t] of the chain ending at tail t
+    tail = list(range(m))  # tail[h] of the chain starting at head h
+    free = [True] * m
+    closed = 0
     choosers: list[int] = []
-    for i, options in enumerate(succ):
-        if len(options) != 1:
-            if not options:
-                return {}
-            choosers.append(i)
+    for a, (_, v) in enumerate(arcs):
+        if len(out_arcs[v]) > 1:
+            choosers.append(a)
             continue
-        ((j, x),) = options
-        if not free[j]:
-            return {}
-        free[j] = False
-        w0 *= x
-        h = head[i]
-        if j == h:
-            key0 += power[size[h]]
+        (b,) = out_arcs[v]
+        free[b] = False
+        h = head[a]
+        if b == h:
+            closed += 1
         else:
-            t = tail[j]
+            t = tail[b]
             tail[h] = t
             head[t] = h
-            size[h] += size[j]
-    if not choosers:  # the forced pairs are a bijection, all cycles closed
-        return {key0: w0}
-    last = choosers[-1]
-    last_weight = [0] * n  # x of last -> j, 0 where j is not listed
-    for j, x in succ[last]:
-        last_weight[j] = x
+    counts = [0] * (m + 1)
+    if not choosers:  # the forced pairs are a bijection, all circuits closed
+        counts[closed] = 1
+        return counts
     order = choosers[:-1]
+    options = [out_arcs[arcs[a][1]] for a in order]
     depth = len(order)
-    sums: dict[int, int] = {}
 
-    def extend(d: int, w: int, key: int) -> None:
-        if d == depth:  # one successor is free, and it closes the chain
-            h = head[last]
-            x = last_weight[h]
-            if x:
-                key += power[size[h]]
-                sums[key] = sums.get(key, 0) + w * x
+    def extend(d: int, closed: int) -> None:
+        if d == depth:
+            counts[closed + 1] += 1
             return
         i = order[d]
         h = head[i]
-        for j, x in succ[i]:
+        for j in options[d]:
             if not free[j]:
                 continue
             free[j] = False
             if j == h:
-                extend(d + 1, w * x, key + power[size[h]])
+                extend(d + 1, closed + 1)
             else:
                 t = tail[j]
                 tail[h] = t
                 head[t] = h
-                size_h = size[h]
-                size[h] = size_h + size[j]
-                extend(d + 1, w * x, key)
+                extend(d + 1, closed)
                 tail[h] = i
                 head[t] = j
-                size[h] = size_h
             free[j] = True
 
-    extend(0, w0, key0)
+    extend(0, closed)
     # extend refers to itself through its closure; breaking that cycle frees
     # the search state now rather than at the next cyclic collection, which
     # otherwise lets one dead state per call pile up and raise peak memory
     del extend
-    return sums
+    return counts
 
 
 def circuit_partition_poly(
@@ -287,16 +271,15 @@ def circuit_partition_poly(
     Requires in-degree = out-degree at every vertex, checked at every vertex
     before the system count.  A transition system is a permutation of the
     arcs sending each arc to an out-arc of its head, and its circuits are
-    the permutation's cycles, so the chain-linking search ``_link_chains``
-    visits the systems one by one, every cycle keyed 1.  The product of
-    degree factorials is capped at ``max_systems``.
+    the permutation's cycles, which ``_count_systems`` counts system by
+    system.  The product of degree factorials is capped at ``max_systems``.
     """
     n = graph.num_vertices
     arcs = graph.arcs
     in_degree = [0] * n
-    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out_arcs: list[list[int]] = [[] for _ in range(n)]
     for aid, (u, v) in enumerate(arcs):
-        out_arcs[u].append((aid, 1))
+        out_arcs[u].append(aid)
         in_degree[v] += 1
     for v in range(n):
         if in_degree[v] != len(out_arcs[v]):
@@ -313,12 +296,7 @@ def circuit_partition_poly(
             )
     if not arcs:
         return UniPolynomial.constant(1)
-
-    counts = [0] * (len(arcs) + 1)
-    successors = [out_arcs[head] for _, head in arcs]
-    for circuits, count in _link_chains(successors, [1] * len(counts)).items():
-        counts[circuits] = count
-    return UniPolynomial(tuple(counts))
+    return UniPolynomial(tuple(_count_systems(arcs, out_arcs)))
 
 
 def martin_rhs(plane: PlaneGraph, *, max_edges: int = TUTTE_DEFAULT_MAX_EDGES) -> UniPolynomial:

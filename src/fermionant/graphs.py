@@ -43,6 +43,27 @@ from .matrixfn import Matrix
 HalfEdge = tuple[int, int]  # (edge_id, end) with end in {0, 1}
 
 
+def _checked_pairs(
+    num_vertices: int, pairs: Iterable[tuple[int, int]], noun: str
+) -> tuple[tuple[int, int], ...]:
+    """The endpoint pairs of a graph's edges or arcs (``noun``) as a tuple,
+    each endpoint an int (not a bool) naming one of ``num_vertices``
+    vertices; anything else is a ValueError naming the pair's position."""
+    if type(num_vertices) is not int:
+        raise ValueError(f"num_vertices must be an integer, got {num_vertices!r}")
+    if num_vertices < 0:
+        raise ValueError("num_vertices must be nonnegative")
+    pairs = tuple((u, v) for u, v in pairs)
+    for i, (u, v) in enumerate(pairs):
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"{noun} {i} endpoints ({u!r}, {v!r}) must be integers")
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            raise ValueError(
+                f"{noun} {i} endpoints ({u}, {v}) out of range for {num_vertices} vertices"
+            )
+    return pairs
+
+
 @dataclass(frozen=True)
 class Multigraph:
     """Undirected multigraph; loops and parallel edges allowed.  The index
@@ -52,14 +73,7 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
-        if self.num_vertices < 0:
-            raise ValueError("num_vertices must be nonnegative")
-        for eid, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(
-                    f"edge {eid} endpoints ({u}, {v}) out of range for {self.num_vertices} vertices"
-                )
+        object.__setattr__(self, "edges", _checked_pairs(self.num_vertices, self.edges, "edge"))
 
     @property
     def num_edges(self) -> int:
@@ -83,14 +97,7 @@ class Digraph:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple((u, v) for u, v in self.arcs))
-        if self.num_vertices < 0:
-            raise ValueError("num_vertices must be nonnegative")
-        for aid, (u, v) in enumerate(self.arcs):
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(
-                    f"arc {aid} endpoints ({u}, {v}) out of range for {self.num_vertices} vertices"
-                )
+        object.__setattr__(self, "arcs", _checked_pairs(self.num_vertices, self.arcs, "arc"))
 
     @property
     def num_arcs(self) -> int:

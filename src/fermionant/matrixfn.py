@@ -54,7 +54,6 @@ from .polynomials import UniPolynomial
 BRUTE_DEFAULT_MAX_N = 9
 DP_DEFAULT_MAX_N = 20
 PERMANENT_DEFAULT_MAX_N = 20
-IMMANANTS_DEFAULT_MAX_K = 4
 
 
 @dataclass(frozen=True)
@@ -371,16 +370,12 @@ def immanant(a: Matrix, lam: Partition, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> 
     return sum(character(lam, mu) * w for mu, w in sums.items())
 
 
-def fermionant_via_immanants(
-    a: Matrix, k: int, *, max_n: int = BRUTE_DEFAULT_MAX_N, max_k: int = IMMANANTS_DEFAULT_MAX_K
-) -> int:
+def fermionant_via_immanants(a: Matrix, k: int, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> int:
     """Fermionant through the character expansion over Young diagrams of
     depth at most k (transposed inside the immanant), for integer k >= 1."""
     n = a.n
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"immanants route requires a positive integer k, got {k}")
-    if k > max_k:
-        raise CapacityError(f"immanants route limited to k <= {max_k}, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"immanants route requires a positive integer k, got {k!r}")
     if n > max_n:
         raise CapacityError(f"immanants route limited to n <= {max_n}, got {n}")
     if n == 0:
@@ -410,7 +405,9 @@ def fermionant(
 ) -> int:
     """Fermionant of a with parameter k via ``brute``, ``dp`` or
     ``immanants``.  k may be any integer for brute/dp; the immanants route
-    requires 1 <= k <= 4.  All routes agree wherever their bounds overlap."""
+    requires k >= 1.  All routes agree wherever their bounds overlap."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if algorithm == "brute":
         return _fermionant_brute(a, k, brute_max_n)
     if algorithm == "dp":

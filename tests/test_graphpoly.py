@@ -223,6 +223,12 @@ def test_circuit_poly_examples():
     disjoint = Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
     assert circuit_partition_poly(disjoint).coeffs == (0, 0, 1)
     assert circuit_partition_poly(Digraph(3, ())).coeffs == (1,)
+    # a bouquet of d loops: the systems are S_d, and each cycle of the
+    # permutation is a circuit, so j(z) is the rising factorial z(z+1)...(z+d-1)
+    rising = [1]
+    for d in range(1, 9):
+        rising = [(d - 1) * c + lower for c, lower in zip([*rising, 0], [0, *rising])]
+        assert circuit_partition_poly(Digraph(1, ((0, 0),) * d)).coeffs == tuple(rising)
 
 
 def test_circuit_poly_rejects_unbalanced():

@@ -24,6 +24,26 @@ def test_multigraph_validation():
     assert g.is_loop(1)
 
 
+def test_graph_constructors_reject_non_integers():
+    """Vertex counts and endpoints must be ints, not floats or bools; the
+    message names the edge or arc by position."""
+    with pytest.raises(ValueError, match="edge 0 endpoints"):
+        Multigraph(2, ((0, 1.0),))
+    with pytest.raises(ValueError, match="num_vertices"):
+        Multigraph(2.0, ((0, 1),))
+    with pytest.raises(ValueError, match="arc 1 endpoints"):
+        Digraph(2, ((0, 1), (0, 1.5)))
+    with pytest.raises(ValueError, match="num_vertices"):
+        Digraph(True, ())
+    with pytest.raises(ValueError, match="edge 0 endpoints"):
+        Multigraph(2, ((False, 1),))
+    with pytest.raises(ValueError, match="arc 0 endpoints"):
+        Digraph(2, ((0, True),))
+    with pytest.raises(ValueError, match="arc 0 endpoints \\(0, 2\\) out of range"):
+        Digraph(2, ((0, 2),))
+    assert Digraph(2, [[0, 1], [1, 0]]).arcs == ((0, 1), (1, 0))
+
+
 def test_faces_single_edge():
     walks = faces(single_edge_plane())
     assert len(walks) == 1

@@ -340,9 +340,12 @@ def test_via_immanants_rejects_bad_k():
         fermionant_via_immanants(a, 0)
     with pytest.raises(ValueError):
         fermionant_via_immanants(a, -1)
-    with pytest.raises(CapacityError):
-        fermionant_via_immanants(a, 5)
+    for k in (True, 2.0, 1.5):
+        with pytest.raises(ValueError, match="integer k"):
+            fermionant_via_immanants(a, k)
     assert fermionant_via_immanants(a, 1) == determinant(a)
+    b = Matrix(((1, 2, 0), (-1, 3, 2), (2, 0, 1)))
+    assert fermionant_via_immanants(b, 5) == fermionant(b, 5, "brute")
 
 
 def test_capacity_errors():
@@ -353,3 +356,8 @@ def test_capacity_errors():
         fermionant(big, 2, "dp", dp_max_n=9)
     with pytest.raises(ValueError):
         fermionant(big, 2, "magic")
+    small = Matrix(((1, 2), (3, 4)))
+    for algorithm in ("brute", "dp", "immanants"):
+        for k in (2.0, 1.5, True, False):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                fermionant(small, k, algorithm)
