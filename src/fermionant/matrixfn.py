@@ -15,12 +15,19 @@ so k = 1 recovers the determinant.  Three routes are provided:
                    combined one cycle at a time, each cycle weighted -k, over
                    the sets without vertex 0 and the full set, the only sets
                    peeling a cycle off the full set can leave.  A set peels
-                   the cycle through its lowest vertex m either by walking
-                   its submasks or, where m has few nonzero cycles (count_m
-                   * 2^h < 3^h, h the number of vertices above m), by walking
-                   the list of those cycles; so sparse matrices such as
-                   medial line digraphs skip the O(3^n) submask walk, and
-                   dense ones keep it.
+                   the cycle through its lowest vertex m, and the 2^h sets
+                   lowest at m (h the number of vertices above m) form a
+                   level, done in one of three ways: where m has few nonzero
+                   cycles (count_m * 2^h < 3^h) each set walks the list of
+                   those cycles, so sparse matrices such as medial line
+                   digraphs skip the O(3^n) submask walk; else, at m > 0 with
+                   h >= 7 (the crossover measured on dense matrices), the
+                   whole level is one ranked subset convolution in
+                   O(h^2 2^h) digit operations, its values packed as
+                   fixed-width digits of B bits, B the bit length of
+                   prod_i max(1, sum_j |A_ij|) * max(1, |k|)^n plus a sign
+                   bit; every other level, m = 0 included, walks every
+                   submask of each set.
 * ``immanants`` -- the character expansion: sum over Young diagrams lam of n
                    with at most k rows of (semistandard tableau count of lam)
                    * (immanant of the transposed diagram), for integer k >= 1.
@@ -45,6 +52,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, lshift, mul, sub
 
 from .characters import character, schur_weyl_expand
 from .errors import CapacityError
@@ -245,14 +253,35 @@ def _fermionant_brute(a: Matrix, k: int, max_n: int) -> int:
     return -value if a.n % 2 else value
 
 
+# Levels with at least this many vertices above their lowest vertex are done
+# by one subset convolution rather than submask walks: the crossover that
+# ``python3 scripts/dp_timings.py levels`` measures on dense matrices.
+_CONVOLVE_MIN_H = 7
+_CONVOLVE = "convolve"
+
+
+def _level_kind(m: int, h: int, count: int) -> str:
+    """How the cover phase peels the cycle through vertex m off the sets
+    whose lowest vertex is m, given h = n-1-m vertices above m and count
+    nonzero cycles lowest at m: "list" (walk those cycles), "convolve" (one
+    subset convolution over the level) or "submask" (walk every submask).
+    The one place the dp chooses a level's kind."""
+    if count << h < 3**h:
+        return "list"
+    if m and h >= _CONVOLVE_MIN_H:
+        return _CONVOLVE
+    return "submask"
+
+
 @lru_cache(maxsize=1)
-def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...] | None, ...]]:
+def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...] | str | None, ...]]:
     """(C, walks).  C[S]: the weight sum of the single directed cycles with
-    vertex set exactly S that pass through min(S).  walks[m]: the nonzero
-    (S, C[S]) with min(S) = m, kept only where walking them is cheaper than
-    walking submasks, else None.  Neither depends on k, so both are memoised
-    on the last matrix and the dp pays for them once per matrix rather than
-    once per k.
+    vertex set exactly S that pass through min(S).  walks[m]: how the cover
+    phase handles the sets lowest at m, as ``_level_kind`` chose it: the
+    tuple of nonzero (S, C[S]) with min(S) = m for a list walk, ``_CONVOLVE``
+    for a subset convolution, None for submask walks.  Neither depends on k,
+    so both are memoised on the last matrix and the dp pays for them once
+    per matrix rather than once per k.
 
     For each lowest vertex m, paths from m with interior above m are grown
     breadth first by vertex set; a set's cycles are closed back to m as soon
@@ -270,7 +299,7 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
     n = a.n
     rows = a.rows
     C = [0] * (1 << n)
-    walks: list[tuple[tuple[int, int], ...] | None] = [None] * n
+    walks: list[tuple[tuple[int, int], ...] | str | None] = [None] * n
     for m in range(n):
         bit_m = 1 << m
         higher = range(m + 1, n)
@@ -307,13 +336,60 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
             if s:
                 C[mask | bit_m] = s
                 count += 1
-        h = n - 1 - m
-        if count << h < 3**h:
+        kind = _level_kind(m, n - 1 - m, count)
+        if kind == "list":
             walks[m] = tuple((S, C[S]) for S in range(bit_m, 1 << n, bit_m << 1) if C[S])
+        elif kind == _CONVOLVE:
+            walks[m] = _CONVOLVE
     return tuple(C), tuple(walks)
 
 
+def _subset_sums(v: list[int], h: int, op) -> None:
+    """In place over 2^h entries indexed by subsets of h bits: for each bit,
+    v[X | bit] = op(v[X | bit], v[X]) for every X without it, so op = add
+    gives the zeta transform (sums over subsets) and op = sub its inverse,
+    the Moebius transform.  Each bit is a few slice operations that run at
+    C speed: strided slices, one per offset, while the bit is low, then
+    contiguous halves, one per block."""
+    size = 1 << h
+    for i in range(h):
+        step = 1 << i
+        span = step << 1
+        if step * step <= size // 2:
+            for o in range(step):
+                v[o + step::span] = map(op, v[o + step::span], v[o::span])
+        else:
+            for b in range(0, size, span):
+                v[b + step:b + span] = map(op, v[b + step:b + span], v[b:b + step])
+
+
 def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
+    """The dp route.  Sets are peeled one cycle at a time, the cycle through
+    their lowest vertex m, with levels m taken from n-1 down; each level is
+    done in one of three ways, chosen per matrix by ``_level_kind``:
+
+    * list walk -- where m has few nonzero cycles (count_m * 2^h < 3^h), each
+      set reads only the listed cycles that fit in it;
+    * subset convolution -- at a level m > 0 with h >= ``_CONVOLVE_MIN_H``
+      vertices above m, the 2^h values F[{m} | X] = -k * sum over T within X
+      of C[{m} | T] * F[X - T] form one subset convolution of the strided
+      slices C[2^m::2^(m+1)] and F[0::2^(m+1)], done as Bjorklund, Husfeldt,
+      Kaski and Koivisto's ranked convolution ("Fourier meets Moebius", STOC
+      2007) in O(h^2 2^h) digit operations rather than 3^h: a value at X is
+      packed as v << (B |X|), both vectors are zeta-transformed, multiplied
+      pointwise and Moebius-transformed, and the answer at X is digit |X|,
+      read as a signed residue mod 2^B;
+    * submask walk -- every other level, m = 0 included (it holds only the
+      full set), walks every submask of each set.
+
+    In the convolution, digit t at X sums the pairs (T, U) with T | U = X and
+    |T| + |U| = t, so every digit below |X| is exactly 0 and digit |X| is
+    the answer itself: only its size bounds B.  That answer, F[{m} | X]
+    before the factor -k, sums over the cycle covers of {m} | X a product of
+    entries times (-k)^(cycles - 1), so its absolute value is at most
+    prod_i max(1, sum_j |a_ij|) * max(1, |k|)^n; B is that bound's bit
+    length plus 1, for the sign.
+    """
     n = a.n
     if n > max_n:
         raise CapacityError(f"dp fermionant limited to n <= {max_n}, got {n}")
@@ -330,6 +406,17 @@ def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
     negk = -k
     F = [0] * (full + 1)
     F[0] = 1
+    if _CONVOLVE in walks:
+        bound = max(1, abs(k)) ** n
+        for row in a.rows:
+            bound *= max(1, sum(map(abs, row)))
+        width = bound.bit_length() + 1
+        digit = (1 << width) - 1
+        half = 1 << (width - 1)
+        # shifts[j] = width * |j|, for every level's 2^h indices at once
+        shifts = [0]
+        for i in range(n - 1 - walks.index(_CONVOLVE)):
+            shifts += [s + width for s in shifts]
     for m in range(n - 1, -1, -1):
         low = 1 << m
         sets = range(low, full + 1, low << 1) if m else (full,)
@@ -347,6 +434,17 @@ def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
                         break
                     Tp = (Tp - 1) & rest
                 F[S] = negk * acc
+        elif walk is _CONVOLVE:
+            h = n - 1 - m
+            stride = low << 1
+            cz = list(map(lshift, C[low::stride], shifts))
+            fz = list(map(lshift, F[0::stride], shifts))
+            _subset_sums(cz, h, add)
+            _subset_sums(fz, h, add)
+            cz = list(map(mul, cz, fz))
+            del fz
+            _subset_sums(cz, h, sub)
+            F[low::stride] = [negk * ((v >> s & digit ^ half) - half) for v, s in zip(cz, shifts)]
         elif walk:  # with no cycle lowest at m, every F[S] here stays 0
             for S in sets:
                 acc = 0

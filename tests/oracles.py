@@ -110,17 +110,91 @@ def partitions_brute(n: int, max_parts: int) -> set[tuple[int, ...]]:
     return out
 
 
-def cycle_cover_fermionant_brute(rows: list[list[int]], k: int) -> int:
-    """The definition, written independently of the package: sum over
-    permutations of (-k)^cycles times the entry product, with global sign."""
+def cycle_cover_fermionants_brute(rows: list[list[int]], ks) -> dict[int, int]:
+    """The definition, written independently of the package, for each k in
+    ks from one enumeration: sum over permutations of (-k)^cycles times the
+    entry product, with global sign.  Permutations are tallied by cycle
+    count, and those with a zero product skipped."""
     n = len(rows)
-    total = 0
+    by_cycles = [0] * (n + 1)
     for perm in itertools.permutations(range(n)):
         w = 1
         for i in range(n):
             w *= rows[i][perm[i]]
-        total += (-k) ** len(permutation_cycle_lengths(perm)) * w
-    return (-1) ** n * total
+            if not w:
+                break
+        if w:
+            by_cycles[len(permutation_cycle_lengths(perm))] += w
+    return {k: (-1) ** n * sum(c * (-k) ** j for j, c in enumerate(by_cycles)) for k in ks}
+
+
+def cycle_cover_fermionant_brute(rows: list[list[int]], k: int) -> int:
+    return cycle_cover_fermionants_brute(rows, (k,))[k]
+
+
+def principal_minors(rows: list[list[int]]) -> list[int]:
+    """d[S] = det A[S, S] for every vertex set S (d[0] = 1), each by its own
+    fraction-free elimination: after pivot p, every entry below becomes
+    (p * x - f * y) / (previous pivot), an exact integer division."""
+    n = len(rows)
+    d = [1] * (1 << n)
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        m = [[rows[i][j] for j in idx] for i in idx]
+        sign, prev = 1, 1
+        for c in range(len(idx) - 1):
+            if not m[c][c]:
+                swap = next((r for r in range(c + 1, len(idx)) if m[r][c]), None)
+                if swap is None:
+                    sign = 0
+                    break
+                m[c], m[swap] = m[swap], m[c]
+                sign = -sign
+            pivot = m[c][c]
+            for r in range(c + 1, len(idx)):
+                f = m[r][c]
+                m[r] = [(pivot * x - f * y) // prev for x, y in zip(m[r], m[c])]
+            prev = pivot
+        d[mask] = sign * m[-1][-1]
+    return d
+
+
+def colouring_fermionant(rows: list[list[int]], k: int) -> int:
+    """Ferm_k by the colouring expansion.  sgn(pi) = (-1)^(n - cycles), and
+    k^cycles counts the maps [n] -> [k] constant on the cycles of pi, so for
+    k >= 1
+
+        Ferm_k(A) = sum over maps f: [n] -> [k] of prod_c det A[f^-1(c)].
+
+    Grouped by the j colours a map uses, that is sum over j of binom(k, j)
+    E_j, with E_j the sum over ordered partitions of [n] into j nonempty
+    blocks of the product of the blocks' principal minors.  Both sides are
+    polynomials in k, so the grouped form holds for every integer k; for
+    k >= 0 only j <= k contribute.  A sum of products of principal minors,
+    sharing no code with the package."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    d = principal_minors(rows)
+    full = (1 << n) - 1
+    e = [0] + d[1:]  # j = 1: one block
+    total = k * e[full]
+    top = min(k, n) if k >= 0 else n
+    binom = k
+    for j in range(2, top + 1):
+        binom = binom * (k - j + 1) // j
+        targets = (full,) if j == top else range(full + 1)
+        nxt = [0] * (full + 1)
+        for u in targets:
+            s = 0
+            t = u
+            while t:  # nonempty blocks t within u, the rest split into j - 1
+                s += d[t] * e[u ^ t]
+                t = (t - 1) & u
+            nxt[u] = s
+        e = nxt
+        total += binom * e[full]
+    return total
 
 
 def _component_count(num_vertices: int, edges) -> int:

@@ -141,6 +141,19 @@ def test_divisibility_and_parity_agreement():
         assert ham_parity_via_ferm2(g) == count_hamiltonian_cycles(g) % 2, (n, g.edges)
 
 
+def test_parity_matches_held_karp_on_dense_graphs_past_the_convolution_crossover():
+    # dense G(n, 0.7), n = 12..14: 0/1 symmetric inputs whose top cover
+    # levels run as subset convolutions, checked by the Held-Karp count
+    rng = random.Random(2026)
+    parities = set()
+    for n in (12, 12, 13, 13, 14, 14):
+        g = random_simple_graph(rng, n, 0.7)
+        parity = count_hamiltonian_cycles(g) % 2
+        assert ham_parity_via_ferm2(g) == parity, (n, g.edges)
+        parities.add(parity)
+    assert parities == {0, 1}
+
+
 def test_orientation_factor_on_odd_cycles():
     # odd cycles admit no 2-cycle covers, so the only covers are the two
     # orientations of the Hamiltonian cycle

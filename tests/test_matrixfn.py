@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +28,9 @@ from fermionant import (
 )
 from fermionant import matrixfn
 
-from oracles import cycle_cover_fermionant_brute
+from oracles import colouring_fermionant, cycle_cover_fermionant_brute, cycle_cover_fermionants_brute
+
+DP_DENSE_REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "dp_dense.json"
 
 
 def random_matrix(rng, n, lo=-3, hi=3):
@@ -327,6 +332,118 @@ def test_dp_medial_line_digraphs_match_tutte_diagonal():
         for k in (2, 3):
             assert fermionant(a, k, "dp") == (-k) ** c * tutte_diagonal(g.graph, 1 - k)
         assert any(w is not None for w in matrixfn._cycle_sums(a)[1])
+
+
+FORCED_KS = (-2, -1, 0, 1, 2, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def forced_level_cases():
+    """Small and zero-heavy matrices, n <= 8, with brute Ferm_k for each k
+    in FORCED_KS, enumerated once for every forced level kind."""
+    rng = random.Random(89)
+    cases = [random_matrix(rng, n) for n in range(1, 7) for _ in range(3)]
+    cases += [a for n in range(9) for a in sparse_matrices(rng, n)]
+    # diagonal with a unit first entry: at k = +-1 the one cover of vertices
+    # 1..6, peeled at level 1, reaches the dp's digit-width bound exactly
+    diagonal = (1, 2, -3, 3, -2, 3, 2)
+    cases.append(Matrix(tuple(tuple(d if i == j else 0 for j in range(7)) for i, d in enumerate(diagonal))))
+    return tuple((a, cycle_cover_fermionants_brute([list(r) for r in a.rows], FORCED_KS)) for a in cases)
+
+
+@pytest.fixture
+def force_level_kind(monkeypatch):
+    """Make every cover level take one kind: the list walk, the submask walk
+    or, at every level m > 0, the subset convolution (level 0 holds only the
+    full set and keeps its submask walk)."""
+
+    def force(kind):
+        rule = (lambda m, h, count: kind if m else "submask") if kind == "convolve" else (lambda m, h, count: kind)
+        monkeypatch.setattr(matrixfn, "_level_kind", rule)
+        matrixfn._cycle_sums.cache_clear()
+
+    yield force
+    matrixfn._cycle_sums.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["convolve", "submask", "list"])
+def test_dp_forced_level_kind_matches_definition(force_level_kind, kind):
+    force_level_kind(kind)
+    for a, expected in forced_level_cases():
+        if a.n > 1:
+            w = matrixfn._cycle_sums(a)[1][1]
+            assert {"convolve": w is matrixfn._CONVOLVE, "submask": w is None, "list": isinstance(w, tuple)}[kind]
+        for k, value in expected.items():
+            assert fermionant(a, k, "dp") == value, (a, k, kind)
+
+
+def three_kind_matrix(rng, n=13):
+    """Dense, except that vertex 3 reaches only itself and vertex 7, and is
+    reached only from them: vertex 3 has two cycles above it (a list walk),
+    the dense vertices 1, 2, 4 and 5 have h = 7..11 above them (subset
+    convolutions), and vertices 6 and up have h <= 6 (submask walks)."""
+    rows = [[rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        if j not in (3, 7):
+            rows[3][j] = 0
+            rows[j][3] = 0
+    return Matrix(tuple(map(tuple, rows)))
+
+
+def test_dp_matches_independent_oracles_at_n_10_to_13():
+    rng = random.Random(107)
+    huge = Matrix(tuple(tuple(rng.randint(-10**6, 10**6) for _ in range(10)) for _ in range(10)))
+    rows = [list(r) for r in random_matrix(rng, 11).rows]
+    rows[6] = [0] * 11
+    zero_row = Matrix(tuple(map(tuple, rows)))
+    # rank 3: a 12x3 by 3x12 product
+    u, v = random_matrix(rng, 12).rows, random_matrix(rng, 12).rows
+    rank3 = Matrix(tuple(tuple(sum(u[i][t] * v[t][j] for t in range(3)) for j in range(12)) for i in range(12)))
+    three_kinds = three_kind_matrix(rng)
+    walks = matrixfn._cycle_sums(three_kinds)[1]
+    assert {1, 2, 4, 5} == {m for m, w in enumerate(walks) if w is matrixfn._CONVOLVE}
+    assert len(walks[3]) == 2 and walks[6] is None
+    cases = [
+        (huge, (1, -1, 2, 3, 50, -50)),
+        (zero_row, (1, -1, 2, 3, 50, -50)),
+        (rank3, (1, -1, 2, 3)),
+        (random_matrix(rng, 12), (1, -1, 2, 3)),
+        (three_kinds, (1, -1, 2, 3)),
+    ]
+    for a, ks in cases:
+        n = a.n
+        rows = [list(r) for r in a.rows]
+        for k in ks:
+            if k == 1:
+                expected = determinant(a)
+            elif k == -1:
+                expected = (-1) ** n * permanent(a)
+            else:
+                expected = colouring_fermionant(rows, k)
+            assert fermionant(a, k, "dp") == expected, (n, k)
+    assert determinant(rank3) == 0
+    assert all(fermionant(zero_row, k, "dp") == 0 for k in (2, 50))
+
+
+def test_colouring_oracle_matches_definition():
+    rng = random.Random(109)
+    for n in range(7):
+        for a in (random_matrix(rng, n), *sparse_matrices(rng, n)):
+            rows = [list(r) for r in a.rows]
+            expected = cycle_cover_fermionants_brute(rows, (-50, -3, -1, 0, 1, 2, 3, 50))
+            assert {k: colouring_fermionant(rows, k) for k in expected} == expected
+
+
+def test_dp_reproduces_pinned_dense_n14_values():
+    # read only: three matrices of the benchmark's dense pool, whose Ferm_2
+    # and Ferm_3 were confirmed by the colouring expansion when recorded
+    refs = json.loads(DP_DENSE_REFS.read_text())
+    assert refs["n"] == 14 and refs["confirmed_by"] == "colouring expansion"
+    for rows, pinned in list(zip(refs["matrices"], refs["ferm"]))[:3]:
+        a = Matrix(tuple(map(tuple, rows)))
+        assert matrixfn._CONVOLVE in matrixfn._cycle_sums(a)[1]
+        assert fermionant(a, 2, "dp") == int(pinned["2"])
+        assert fermionant(a, 3, "dp") == int(pinned["3"])
 
 
 def test_cycle_poly_capacity():
