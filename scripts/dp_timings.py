@@ -1,5 +1,6 @@
-"""Timings of the dp fermionant on dense matrices (entries drawn uniformly
-from +-1, +-2, +-3, seeded), stdlib only.
+"""Timings of the dp fermionant, stdlib only: on dense matrices (entries
+drawn uniformly from +-1, +-2, +-3, seeded) and on the line digraphs of the
+medial graphs of seeded plane graphs (two nonzeros a row).
 
     python3 scripts/dp_timings.py levels [H ...]
         For each h (default 4..13), the cost of one cover level with h
@@ -9,9 +10,17 @@ from +-1, +-2, +-3, seeded), stdlib only.
         submasks), best of a few k = 2 runs with the cycle sums memoised.
         The crossover sets ``matrixfn._CONVOLVE_MIN_H``.
     python3 scripts/dp_timings.py dense [N ...]
-        For each n (default 14 16 18 20), in a fresh process: Ferm_2 from a
-        cold memo (cycle sums plus cover), then Ferm_3, Ferm_-1 and Ferm_1 on
-        the same matrix (cover only), and the process's peak RSS.
+        For each n (default 14 16 18 20), in a fresh process: the first k,
+        Ferm_2 from a cold memo, as its two phases timed apart (cycle_sums_s,
+        the k-independent cycle sums, then cover_s, the cover for k = 2),
+        then Ferm_3, Ferm_-1 and Ferm_1 on the same matrix (cover only), and
+        the process's peak RSS.
+    python3 scripts/dp_timings.py medial [EDGES ...]
+        For each edge count (default 7 8 9 10), the line digraph of the
+        medial graph of each of 20 seeded plane graphs with that many edges
+        (n = 2 * EDGES): the cycle sums from a cold memo, then the cover for
+        k = 2, timed apart, each reported as the median and max over the
+        graphs.
 
 Each line is one JSON object on stdout.
 """
@@ -21,6 +30,7 @@ from __future__ import annotations
 import json
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -29,7 +39,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from fermionant import Matrix, fermionant, matrixfn  # noqa: E402
+from fermionant import Matrix, fermionant, generate_plane_graph, matrixfn, medial_line_adjacency  # noqa: E402
 
 ENTRIES = (1, -1, 2, -2, 3, -3)
 
@@ -37,6 +47,14 @@ ENTRIES = (1, -1, 2, -2, 3, -3)
 def dense_matrix(n: int, seed: int) -> Matrix:
     rng = random.Random(f"dp-timings-{n}-{seed}")
     return Matrix(tuple(tuple(rng.choice(ENTRIES) for _ in range(n)) for _ in range(n)))
+
+
+def medial_matrix(edges: int, seed: int) -> Matrix:
+    rng = random.Random(f"dp-timings-medial-{edges}-{seed}")
+    while True:
+        g = generate_plane_graph(rng.randrange(2**31), edges)
+        if g.num_edges == edges:
+            return medial_line_adjacency(g)
 
 
 def _best_of(runs: int, call) -> float:
@@ -68,13 +86,27 @@ def time_levels(hs: list[int]) -> None:
 
 def time_dense(n: int) -> None:
     a = dense_matrix(n, 0)
-    row: dict[str, object] = {"n": n}
-    for k in (2, 3, -1, 1):
-        t0 = time.perf_counter()
-        fermionant(a, k, "dp")
-        row[f"k={k}_s"] = round(time.perf_counter() - t0, 3)
+    matrixfn._cycle_sums.cache_clear()
+    row: dict[str, object] = {"n": n, "cycle_sums_s": round(_best_of(1, lambda: matrixfn._cycle_sums(a)), 3)}
+    row["cover_s"] = round(_best_of(1, lambda: fermionant(a, 2, "dp")), 3)
+    for k in (3, -1, 1):
+        row[f"k={k}_s"] = round(_best_of(1, lambda: fermionant(a, k, "dp")), 3)
     row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     row["python"] = sys.version.split()[0]
+    print(json.dumps(row), flush=True)
+
+
+def time_medial(edges: int, graphs: int = 20) -> None:
+    cycle_sums, cover = [], []
+    for seed in range(graphs):
+        a = medial_matrix(edges, seed)
+        matrixfn._cycle_sums.cache_clear()
+        cycle_sums.append(_best_of(1, lambda: matrixfn._cycle_sums(a)))
+        cover.append(_best_of(1, lambda: fermionant(a, 2, "dp")))
+    row: dict[str, object] = {"edges": edges, "n": 2 * edges, "graphs": graphs}
+    for name, times in (("cycle_sums", cycle_sums), ("cover", cover)):
+        row[f"{name}_median_s"] = round(statistics.median(times), 5)
+        row[f"{name}_max_s"] = round(max(times), 5)
     print(json.dumps(row), flush=True)
 
 
@@ -87,6 +119,9 @@ def main(argv: list[str]) -> None:
             subprocess.run([sys.executable, __file__, "dense-one", str(n)], check=True)
     elif mode == "dense-one" and len(args) == 1:
         time_dense(args[0])
+    elif mode == "medial":
+        for edges in args or [7, 8, 9, 10]:
+            time_medial(edges)
     else:
         raise SystemExit(__doc__)
 

@@ -11,7 +11,10 @@ so k = 1 recovers the determinant.  Three routes are provided:
 * ``dp``        -- subset dynamic programming over directed cycle covers
                    (n <= 20): first the weight sum C(S) of single cycles with
                    vertex set exactly S through min(S), which does not depend
-                   on k and is memoised on the last matrix; then covers
+                   on k and is memoised on the last matrix (a weighted
+                   Held-Karp path dp, each path extension one C-level dot
+                   product of a set's path sums with a column, tried only at
+                   the vertices its paths' ends reach); then covers
                    combined one cycle at a time, each cycle weighted -k, over
                    the sets without vertex 0 and the full set, the only sets
                    peeling a cycle off the full set can leave.  A set peels
@@ -49,9 +52,9 @@ sequential and deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import add, lshift, mul, sub
 
 from .characters import character, schur_weyl_expand
@@ -283,62 +286,79 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
     so both are memoised on the last matrix and the dp pays for them once
     per matrix rather than once per k.
 
-    For each lowest vertex m, paths from m with interior above m are grown
-    breadth first by vertex set; a set's cycles are closed back to m as soon
-    as its paths are complete, and its paths are then dropped, so only about
-    two popcount layers are held at a time.  Closing the empty path at m
-    gives the 1-cycle, the diagonal entry.
+    For each lowest vertex m, weighted paths from m with interior above m
+    are grown one popcount layer at a time (Held and Karp's path dp, 1962).
+    A vertex set X keeps one list of its paths' weight sums over the ends
+    m..n-1.  The paths on X + {l} that end at l all come from X, so adding l
+    sets one entry, the dot product of X's list with column l: one C-level
+    sum(map(mul, ...)) rather than an interpreted step per end.  Closing X
+    back to m is the dot product with column m; closing the empty path gives
+    the 1-cycle, the diagonal entry.  X also carries a reach mask, the
+    vertices its nonzero ends have a nonzero entry to, and tries only those;
+    a dot product of 0 creates no set.  So a sparse matrix, such as a medial
+    line digraph with two nonzeros a row, pays about two dot products per
+    end rather than h.  Each set is dropped once extended, so about two
+    layers are held at a time.
 
     For m > 0 the cover phase visits every set whose lowest vertex is m,
     2^h of them with h = n-1-m vertices above m; their submask walks take
     3^h steps in all, and walking a list of count_m cycles instead takes
-    count_m * 2^h.  The list is built only when that is fewer, counted
-    first, so a dense matrix allocates none.  At m = 0 only the full set is
+    count_m * 2^h.  The list is used only when that is fewer.  The search
+    collects the nonzero cycles it closes, but no more than the 3^h >> h a
+    list level can hold, so a dense level allocates no list and a sparse
+    one is not rescanned over all 2^h sets.  At m = 0 only the full set is
     visited, and the same rule errs towards the submask walk.
     """
     n = a.n
     rows = a.rows
     C = [0] * (1 << n)
     walks: list[tuple[tuple[int, int], ...] | str | None] = [None] * n
+    columns = list(zip(*rows))
+    bits = [1 << l for l in range(n)]
+    nonzero = [sum(compress(bits, row)) for row in rows]  # each row's nonzero columns
     for m in range(n):
         bit_m = 1 << m
-        higher = range(m + 1, n)
+        h = n - 1 - m
+        cap = 3**h >> h  # no list level holds more cycles
+        found: list[tuple[int, int]] = []
         count = 0
-        # paths[mask][j]: weight sum of simple paths m -> j with interior in
-        # `higher`, mask over the vertices above m that the path uses.  Every
-        # path into mask comes from a set one vertex smaller, which the queue
-        # finishes first, so paths[mask] is complete when mask is dequeued.
-        paths: dict[int, dict[int, int]] = {0: {m: 1}}
-        queue = deque((0,))
-        while queue:
-            mask = queue.popleft()
-            ends = paths.pop(mask)
-            s = 0
-            for j, w in ends.items():
-                row_j = rows[j]
-                wa = row_j[m]
-                if wa:
-                    s += w * wa
-                for l in higher:
-                    bit = 1 << l
-                    if mask & bit:
-                        continue
-                    wa = row_j[l]
-                    if not wa:
-                        continue
-                    nm = mask | bit
-                    d = paths.get(nm)
-                    if d is None:
-                        paths[nm] = {l: w * wa}
-                        queue.append(nm)
-                    else:
-                        d[l] = d.get(l, 0) + w * wa
-            if s:
-                C[mask | bit_m] = s
-                count += 1
-        kind = _level_kind(m, n - 1 - m, count)
+        # Vertex m+i is bit i: cols[i] is its column over the rows m..n-1,
+        # succ[i] the vertices from m up it has a nonzero entry to.
+        cols = [col[m:] for col in columns[m:]]
+        succ = [z >> m for z in nonzero[m:]]
+        # layer[mask] = [vec, reach] for the sets of one popcount, mask
+        # holding m and the paths' vertices above it: vec[i] sums the paths
+        # m -> m+i on exactly mask, reach ORs succ over its nonzero ends.
+        layer = {1: [[1] + [0] * h, succ[0]]}
+        while layer:
+            nxt: dict[int, list] = {}
+            while layer:
+                mask, (vec, reach) = layer.popitem()
+                if reach & 1:
+                    s = sum(map(mul, vec, cols[0]))
+                    if s:
+                        C[mask << m] = s
+                        count += 1
+                        if count <= cap:
+                            found.append((mask << m, s))
+                targets = reach & ~mask
+                while targets:
+                    bit = targets & -targets
+                    targets ^= bit
+                    i = bit.bit_length() - 1
+                    w = sum(map(mul, vec, cols[i]))
+                    if w:
+                        entry = nxt.get(mask | bit)
+                        if entry is None:
+                            entry = nxt[mask | bit] = [[0] * (h + 1), 0]
+                        entry[0][i] = w
+                        entry[1] |= succ[i]
+            layer = nxt
+        kind = _level_kind(m, h, count)
         if kind == "list":
-            walks[m] = tuple((S, C[S]) for S in range(bit_m, 1 << n, bit_m << 1) if C[S])
+            if len(found) < count:  # a forced list on a level too big to collect
+                found = [(S, C[S]) for S in range(bit_m, 1 << n, bit_m << 1) if C[S]]
+            walks[m] = tuple(sorted(found))
         elif kind == _CONVOLVE:
             walks[m] = _CONVOLVE
     return tuple(C), tuple(walks)

@@ -132,6 +132,22 @@ def cycle_cover_fermionant_brute(rows: list[list[int]], k: int) -> int:
     return cycle_cover_fermionants_brute(rows, (k,))[k]
 
 
+def cycle_sums_brute(rows: list[list[int]]) -> list[int]:
+    """C[S] for every vertex set S (C[0] = 0): the weight sum of the directed
+    cycles with vertex set exactly S, each counted once, as the cycle
+    through min(S) that visits S minus min(S) in one of its orderings."""
+    n = len(rows)
+    sums = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        first, *others = [i for i in range(n) if mask >> i & 1]
+        for order in itertools.permutations(others):
+            w = 1
+            for i, j in zip((first, *order), (*order, first)):
+                w *= rows[i][j]
+            sums[mask] += w
+    return sums
+
+
 def principal_minors(rows: list[list[int]]) -> list[int]:
     """d[S] = det A[S, S] for every vertex set S (d[0] = 1), each by its own
     fraction-free elimination: after pivot p, every entry below becomes

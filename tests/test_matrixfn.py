@@ -28,7 +28,12 @@ from fermionant import (
 )
 from fermionant import matrixfn
 
-from oracles import colouring_fermionant, cycle_cover_fermionant_brute, cycle_cover_fermionants_brute
+from oracles import (
+    colouring_fermionant,
+    cycle_cover_fermionant_brute,
+    cycle_cover_fermionants_brute,
+    cycle_sums_brute,
+)
 
 DP_DENSE_REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "dp_dense.json"
 
@@ -375,6 +380,48 @@ def test_dp_forced_level_kind_matches_definition(force_level_kind, kind):
             assert {"convolve": w is matrixfn._CONVOLVE, "submask": w is None, "list": isinstance(w, tuple)}[kind]
         for k, value in expected.items():
             assert fermionant(a, k, "dp") == value, (a, k, kind)
+
+
+def cycle_sums_cases():
+    """n <= 7: dense, zero-heavy, 0/1 and +-1 matrices, the +-1 ones with
+    every entry nonzero, so that many sets' path sums cancel to 0; and the
+    medial line digraph of a 4-edge plane graph (n = 8)."""
+    rng = random.Random(113)
+    cases = [random_matrix(rng, n) for n in range(1, 8) for _ in range(2)]
+    cases += [a for n in range(1, 8) for a in sparse_matrices(rng, n)]
+    cases += [random_matrix(rng, n, 0, 1) for n in range(2, 8)]
+    signs = [[[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)] for n in range(3, 8) for _ in range(2)]
+    cases += [Matrix(tuple(map(tuple, rows))) for rows in signs]
+    g = generate_plane_graph(rng.randrange(2**31), 4)
+    while g.num_edges != 4:
+        g = generate_plane_graph(rng.randrange(2**31), 4)
+    return cases + [medial_line_adjacency(g)]
+
+
+@pytest.mark.parametrize("forced", [None, "list"])
+def test_cycle_sums_match_cycle_enumeration(force_level_kind, forced):
+    """The whole memoised (C, walks) against the definition: C[S] summed over
+    the cycles on S, and each level's walk as ``_level_kind`` chooses it
+    from the true cycle count, a list level holding exactly the nonzero
+    (S, C[S]) lowest at m in order of S.  Forcing every level to a list also
+    covers the levels too dense to collect their cycles while searching."""
+    if forced:
+        force_level_kind(forced)
+    cases = cycle_sums_cases()
+    cancelled = 0
+    for a in cases:
+        expected = cycle_sums_brute([list(r) for r in a.rows])
+        C, walks = matrixfn._cycle_sums(a)
+        assert C == tuple(expected), a
+        for m, walk in enumerate(walks):
+            cycles = tuple((S, c) for S, c in enumerate(expected) if c and S & -S == 1 << m)
+            kind = forced or matrixfn._level_kind(m, a.n - 1 - m, len(cycles))
+            assert walk == {"list": cycles, "convolve": matrixfn._CONVOLVE, "submask": None}[kind], (a, m)
+        if all(all(row) for row in a.rows):
+            cancelled += expected[1:].count(0)
+    assert cancelled > 0
+    # the medial line digraph has a nonempty list level under either rule
+    assert any(isinstance(w, tuple) and w for w in matrixfn._cycle_sums(cases[-1])[1])
 
 
 def three_kind_matrix(rng, n=13):
