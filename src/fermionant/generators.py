@@ -255,9 +255,9 @@ def _canonical_map_code(plane: PlaneGraph | _PlaneBuilder) -> tuple[int, ...]:
     return best
 
 
-def exhaustive_plane_graphs(max_edges: int, *, include_unions: bool = True) -> list[PlaneGraph]:
+def exhaustive_plane_graphs(max_edges: int) -> list[PlaneGraph]:
     """One representative of every connected plane multigraph with
-    1..max_edges edges, up to isomorphism of the embedding; optionally also
+    1..max_edges edges, up to isomorphism of the embedding, then the
     pairwise disjoint unions within the edge budget.  Deterministic order.
 
     Exhaustiveness: any connected embedded multigraph can be shrunk to a
@@ -278,15 +278,14 @@ def exhaustive_plane_graphs(max_edges: int, *, include_unions: bool = True) -> l
                 next_level.append(child)
                 out.append(child.freeze())
         levels.append(next_level)
-    if include_unions:
-        # singles are pairwise non-isomorphic and come in nondecreasing edge
-        # count, so each pair i <= j is a distinct union until the budget ends
-        singles = list(out)
-        for i, a in enumerate(singles):
-            for b in singles[i:]:
-                if a.num_edges + b.num_edges > max_edges:
-                    break
-                out.append(disjoint_union(a, b))
+    # singles are pairwise non-isomorphic and come in nondecreasing edge
+    # count, so each pair i <= j is a distinct union until the budget ends
+    singles = list(out)
+    for i, a in enumerate(singles):
+        for b in singles[i:]:
+            if a.num_edges + b.num_edges > max_edges:
+                break
+            out.append(disjoint_union(a, b))
     return out
 
 

@@ -43,9 +43,9 @@ from .graphs import (
 )
 from .polynomials import BivarPolynomial, UniPolynomial
 
-SUBGRAPH_SUM_DEFAULT_MAX_EDGES = 16
-TUTTE_DEFAULT_MAX_EDGES = 14
-TRANSITION_DEFAULT_MAX_SYSTEMS = 10**7
+SUBGRAPH_SUM_MAX_EDGES = 16
+TUTTE_MAX_EDGES = 14
+TRANSITION_MAX_SYSTEMS = 10**7
 
 
 def _subgraph_tally(graph: Multigraph) -> dict[tuple[int, int], int]:
@@ -61,9 +61,11 @@ def _subgraph_tally(graph: Multigraph) -> dict[tuple[int, int], int]:
     edge a vertex drops out of the labelling, and a component left with no
     labelled vertex is counted closed, so choices that differ only among
     finished vertices share a state.  c(S) is the closed count plus the
-    edgeless vertices."""
+    edgeless vertices.  Both subgraph-sum routes meet their edge bound here."""
     n = graph.num_vertices
     edges = graph.edges
+    if len(edges) > SUBGRAPH_SUM_MAX_EDGES:
+        raise CapacityError(f"subgraph sum limited to {SUBGRAPH_SUM_MAX_EDGES} edges, got {len(edges)}")
     c_full, _ = _union_find(n, edges)
     last_edge = {}
     for e, (u, v) in enumerate(edges):
@@ -113,15 +115,10 @@ def _subgraph_tally(graph: Multigraph) -> dict[tuple[int, int], int]:
     return tally
 
 
-def tutte_subgraph_sum(
-    graph: Multigraph, *, max_edges: int = SUBGRAPH_SUM_DEFAULT_MAX_EDGES
-) -> BivarPolynomial:
+def tutte_subgraph_sum(graph: Multigraph) -> BivarPolynomial:
     """The spanning-subgraph sum, expanded exactly into the (x, y) basis from
     the connectivity-state tally; the independent oracle for ``tutte``, as
     it never deletes or contracts an edge."""
-    m = graph.num_edges
-    if m > max_edges:
-        raise CapacityError(f"subgraph sum limited to {max_edges} edges, got {m}")
     coeffs: dict[tuple[int, int], int] = {}
     for (a, b), count in _subgraph_tally(graph).items():
         for i in range(a + 1):
@@ -143,16 +140,16 @@ def _bridges(num_vertices: int, edges: list[tuple[int, int]]) -> set[int]:
     return {eid for eid in range(len(edges)) if not on_cycle >> eid & 1}
 
 
-def tutte(graph: Multigraph, *, max_edges: int = TUTTE_DEFAULT_MAX_EDGES) -> BivarPolynomial:
+def tutte(graph: Multigraph) -> BivarPolynomial:
     """Tutte polynomial by deletion-contraction.
 
     Recurses on the highest-id edge that is neither a loop nor a bridge;
     once only loops and bridges remain the value is x^bridges * y^loops.
     Deterministic, no isomorphism caching.
     """
-    if graph.num_edges > max_edges:
+    if graph.num_edges > TUTTE_MAX_EDGES:
         raise CapacityError(
-            f"deletion-contraction limited to {max_edges} edges, got {graph.num_edges}"
+            f"deletion-contraction limited to {TUTTE_MAX_EDGES} edges, got {graph.num_edges}"
         )
 
     def rec(n: int, edges: list[tuple[int, int]]) -> BivarPolynomial:
@@ -181,17 +178,12 @@ def tutte(graph: Multigraph, *, max_edges: int = TUTTE_DEFAULT_MAX_EDGES) -> Biv
     return rec(graph.num_vertices, list(graph.edges))
 
 
-def tutte_diagonal(
-    graph: Multigraph, x: int, *, max_edges: int = SUBGRAPH_SUM_DEFAULT_MAX_EDGES
-) -> int:
+def tutte_diagonal(graph: Multigraph, x: int) -> int:
     """T(G; x, x) computed directly from the one-variable subgraph sum
 
         sum over S of (x-1)^(c(S) + l(S) - c(G)),  l(S) = c(S) + |S| - |V|,
 
     as an oracle independent of both Tutte routes."""
-    m = graph.num_edges
-    if m > max_edges:
-        raise CapacityError(f"diagonal sum limited to {max_edges} edges, got {m}")
     return sum(count * (x - 1) ** (a + b) for (a, b), count in _subgraph_tally(graph).items())
 
 
@@ -263,16 +255,15 @@ def _count_systems(arcs: tuple[tuple[int, int], ...], out_arcs: list[list[int]])
     return counts
 
 
-def circuit_partition_poly(
-    graph: Digraph, *, max_systems: int = TRANSITION_DEFAULT_MAX_SYSTEMS
-) -> UniPolynomial:
+def circuit_partition_poly(graph: Digraph) -> UniPolynomial:
     """Generating function of transition systems by circuit count.
 
     Requires in-degree = out-degree at every vertex, checked at every vertex
     before the system count.  A transition system is a permutation of the
     arcs sending each arc to an out-arc of its head, and its circuits are
     the permutation's cycles, which ``_count_systems`` counts system by
-    system.  The product of degree factorials is capped at ``max_systems``.
+    system.  The product of degree factorials is capped at
+    ``TRANSITION_MAX_SYSTEMS``.
     """
     n = graph.num_vertices
     arcs = graph.arcs
@@ -290,18 +281,18 @@ def circuit_partition_poly(
     systems = 1
     for v in range(n):
         systems *= factorial(in_degree[v])
-        if systems > max_systems:
+        if systems > TRANSITION_MAX_SYSTEMS:
             raise CapacityError(
-                f"transition-system count exceeds {max_systems} at vertex {v}"
+                f"transition-system count exceeds {TRANSITION_MAX_SYSTEMS} at vertex {v}"
             )
     if not arcs:
         return UniPolynomial.constant(1)
     return UniPolynomial(tuple(_count_systems(arcs, out_arcs)))
 
 
-def martin_rhs(plane: PlaneGraph, *, max_edges: int = TUTTE_DEFAULT_MAX_EDGES) -> UniPolynomial:
+def martin_rhs(plane: PlaneGraph) -> UniPolynomial:
     """z^(c(G)) * T(G; z+1, z+1), the Tutte side of Martin's identity."""
-    t = tutte(plane.graph, max_edges=max_edges)
+    t = tutte(plane.graph)
     c, _ = connected_components(plane.graph)
     z_plus_1 = UniPolynomial((1, 1))
     return t.substitute_diagonal(z_plus_1).shift(c)

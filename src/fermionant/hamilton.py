@@ -39,9 +39,9 @@ from math import factorial
 
 from .errors import CapacityError, ConsistencyError
 from .graphs import Multigraph, adjacency_matrix
-from .matrixfn import DP_DEFAULT_MAX_N, fermionant
+from .matrixfn import DP_MAX_N, fermionant
 
-HAMILTONIAN_DEFAULT_MAX_N = 18
+HAMILTONIAN_MAX_N = 18
 # Size of the low block packed into one integer (capped at n - 1).  Timed at
 # 6, 7 and 8 on K14, K16, K18, K8,8, K9,9 and seeded G(18, p), 7 was at most
 # 26% slower than the fastest of the three on any graph, 8 up to 37% and 6 up
@@ -60,11 +60,11 @@ def _simple_adjacency_masks(graph: Multigraph) -> list[int]:
     return masks
 
 
-def count_hamiltonian_cycles(graph: Multigraph, *, max_n: int = HAMILTONIAN_DEFAULT_MAX_N) -> int:
+def count_hamiltonian_cycles(graph: Multigraph) -> int:
     """Number of undirected Hamiltonian cycles; 0 for fewer than 3 vertices."""
     n = graph.num_vertices
-    if n > max_n:
-        raise CapacityError(f"hamiltonian counting limited to n <= {max_n}, got {n}")
+    if n > HAMILTONIAN_MAX_N:
+        raise CapacityError(f"hamiltonian counting limited to n <= {HAMILTONIAN_MAX_N}, got {n}")
     if n < 3:
         return 0
     adj = _simple_adjacency_masks(graph)
@@ -110,10 +110,11 @@ def count_hamiltonian_cycles(graph: Multigraph, *, max_n: int = HAMILTONIAN_DEFA
     return total // 2
 
 
-def ham_parity_via_ferm2(graph: Multigraph, *, max_n: int = DP_DEFAULT_MAX_N) -> int:
+def ham_parity_via_ferm2(graph: Multigraph) -> int:
     """Hamiltonian-cycle parity of a simple graph with n >= 5, read off
     Ferm_2 of the adjacency matrix.  Raises ConsistencyError if the computed
-    fermionant is not divisible by 4 (impossible for valid input)."""
+    fermionant is not divisible by 4 (impossible for valid input).  The dp
+    bound is checked before the n x n matrix is built."""
     n = graph.num_vertices
     if n <= 4:
         raise ValueError(f"parity relation requires more than 4 vertices, got {n}")
@@ -126,7 +127,9 @@ def ham_parity_via_ferm2(graph: Multigraph, *, max_n: int = DP_DEFAULT_MAX_N) ->
         if key in seen:
             raise ValueError(f"parity relation requires a simple graph; edge {key} repeated")
         seen.add(key)
-    f = fermionant(adjacency_matrix(graph), 2, "dp", dp_max_n=max_n)
+    if n > DP_MAX_N:
+        raise CapacityError(f"dp fermionant limited to n <= {DP_MAX_N}, got {n}")
+    f = fermionant(adjacency_matrix(graph), 2, "dp")
     if f % 4 != 0:
         raise ConsistencyError(f"Ferm_2 = {f} is not divisible by 4")
     return (f // 4) % 2

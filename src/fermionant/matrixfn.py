@@ -45,9 +45,10 @@ class sums are memoised on the last matrix, so ``brute``,
 ``immanants`` share a single transfer per matrix; the immanants route also
 reads the transposed Schur-Weyl expansion once per (n, k).
 
-All arithmetic is exact; capacity bounds are keyword-tunable with the safe
-defaults given above.  Everything here is a pure function; the dp route is
-sequential and deterministic.
+All arithmetic is exact.  The capacity bounds given above are the module
+constants ``BRUTE_MAX_N``, ``DP_MAX_N`` and ``PERMANENT_MAX_N``, each checked
+once, where its kernel starts.  Everything here is a pure function; the dp
+route is sequential and deterministic.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ from .errors import CapacityError
 from .partitions import Partition, transpose
 from .polynomials import UniPolynomial
 
-BRUTE_DEFAULT_MAX_N = 9
-DP_DEFAULT_MAX_N = 20
-PERMANENT_DEFAULT_MAX_N = 20
+BRUTE_MAX_N = 9
+DP_MAX_N = 20
+PERMANENT_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,11 @@ def determinant(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def permanent(a: Matrix, *, max_n: int = PERMANENT_DEFAULT_MAX_N) -> int:
+def permanent(a: Matrix) -> int:
     """Exact permanent by Ryser's inclusion-exclusion with Gray-code updates."""
     n = a.n
-    if n > max_n:
-        raise CapacityError(f"permanent limited to n <= {max_n}, got {n}")
+    if n > PERMANENT_MAX_N:
+        raise CapacityError(f"permanent limited to n <= {PERMANENT_MAX_N}, got {n}")
     if n == 0:
         return 1
     rows = a.rows
@@ -174,8 +175,13 @@ def _class_sums(a: Matrix) -> tuple[tuple[Partition, int], ...]:
     one int: the key in the low bits, then one (head, size) slot per row
     still to place, row d lowest.  States whose weights cancel to 0 are
     kept, so a class sum that cancels stays a key.
+
+    The brute bound is checked here, so every route through the class sums
+    (brute, the cycle polynomial, immanants) meets it before any work.
     """
     n = a.n
+    if n > BRUTE_MAX_N:
+        raise CapacityError(f"class-sum transfer limited to n <= {BRUTE_MAX_N}, got {n}")
     if n == 0:
         return ((Partition(()), 1),)
     power = [(n + 1) ** length for length in range(n + 1)]
@@ -223,36 +229,30 @@ def _decode_cycle_type(key: int, n: int) -> Partition:
     return Partition(tuple(parts))
 
 
-def fermionant_cycle_poly(a: Matrix, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> UniPolynomial:
+def fermionant_cycle_poly(a: Matrix) -> UniPolynomial:
     """f(z) = sum over permutations of z^(cycle count) * prod A[i, pi(i)].
 
     f(1) is the permanent, (-1)^n f(-1) the determinant, and the fermionant
     is (-1)^n f(-k).  Read off the memoised class sums: f = sum over cycle
     types mu of w_mu z^depth(mu).
     """
-    n = a.n
-    if n > max_n:
-        raise CapacityError(f"cycle polynomial enumeration limited to n <= {max_n}, got {n}")
-    coeffs = [0] * (n + 1)
-    for mu, w in _class_sums(a):
+    sums = _class_sums(a)
+    coeffs = [0] * (a.n + 1)
+    for mu, w in sums:
         coeffs[mu.depth] += w
     return UniPolynomial(tuple(coeffs))
 
 
-def cycle_type_weight_sums(a: Matrix, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> dict[Partition, int]:
+def cycle_type_weight_sums(a: Matrix) -> dict[Partition, int]:
     """For each cycle type mu of n, the sum over permutations of type mu of
     prod A[i, pi(i)]; types with no permutation of nonzero weight are absent.
     A fresh dict over the memoised class sums, which also feed the cycle
     polynomial, so one transfer per matrix serves every route but dp."""
-    n = a.n
-    if n > max_n:
-        raise CapacityError(f"class-sum enumeration limited to n <= {max_n}, got {n}")
     return dict(_class_sums(a))
 
 
-def _fermionant_brute(a: Matrix, k: int, max_n: int) -> int:
-    f = fermionant_cycle_poly(a, max_n=max_n)
-    value = f(-k)
+def _fermionant_brute(a: Matrix, k: int) -> int:
+    value = fermionant_cycle_poly(a)(-k)
     return -value if a.n % 2 else value
 
 
@@ -383,7 +383,7 @@ def _subset_sums(v: list[int], h: int, op) -> None:
                 v[b + step:b + span] = map(op, v[b + step:b + span], v[b:b + step])
 
 
-def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
+def _fermionant_dp(a: Matrix, k: int) -> int:
     """The dp route.  Sets are peeled one cycle at a time, the cycle through
     their lowest vertex m, with levels m taken from n-1 down; each level is
     done in one of three ways, chosen per matrix by ``_level_kind``:
@@ -411,8 +411,8 @@ def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
     length plus 1, for the sign.
     """
     n = a.n
-    if n > max_n:
-        raise CapacityError(f"dp fermionant limited to n <= {max_n}, got {n}")
+    if n > DP_MAX_N:
+        raise CapacityError(f"dp fermionant limited to n <= {DP_MAX_N}, got {n}")
     if n == 0:
         return 1
     C, walks = _cycle_sums(a)
@@ -475,7 +475,7 @@ def _fermionant_dp(a: Matrix, k: int, max_n: int) -> int:
     return -F[full] if n % 2 else F[full]
 
 
-def immanant(a: Matrix, lam: Partition, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> int:
+def immanant(a: Matrix, lam: Partition) -> int:
     """sum over permutations of chi_lam(pi) * prod A[i, pi(i)].
 
     The single-column shape gives the determinant, the single row the
@@ -484,26 +484,19 @@ def immanant(a: Matrix, lam: Partition, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> 
     n = a.n
     if lam.size != n:
         raise ValueError(f"shape {lam} partitions {lam.size}, matrix has dimension {n}")
-    sums = cycle_type_weight_sums(a, max_n=max_n)
-    return sum(character(lam, mu) * w for mu, w in sums.items())
+    return sum(character(lam, mu) * w for mu, w in _class_sums(a))
 
 
-def fermionant_via_immanants(a: Matrix, k: int, *, max_n: int = BRUTE_DEFAULT_MAX_N) -> int:
+def fermionant_via_immanants(a: Matrix, k: int) -> int:
     """Fermionant through the character expansion over Young diagrams of
     depth at most k (transposed inside the immanant), for integer k >= 1."""
     n = a.n
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"immanants route requires a positive integer k, got {k!r}")
-    if n > max_n:
-        raise CapacityError(f"immanants route limited to n <= {max_n}, got {n}")
     if n == 0:
         return 1
-    sums = cycle_type_weight_sums(a, max_n=max_n)
-    total = 0
-    for lam_t, d in _transposed_expansion(n, k):
-        imm = sum(character(lam_t, mu) * w for mu, w in sums.items())
-        total += d * imm
-    return total
+    _class_sums(a)  # the brute bound, met before the expansion is built
+    return sum(d * immanant(a, lam_t) for lam_t, d in _transposed_expansion(n, k))
 
 
 @lru_cache(maxsize=None)
@@ -513,23 +506,16 @@ def _transposed_expansion(n: int, k: int) -> tuple[tuple[Partition, int], ...]:
     return tuple((transpose(lam), d) for lam, d in schur_weyl_expand(n, k).items())
 
 
-def fermionant(
-    a: Matrix,
-    k: int,
-    algorithm: str = "dp",
-    *,
-    brute_max_n: int = BRUTE_DEFAULT_MAX_N,
-    dp_max_n: int = DP_DEFAULT_MAX_N,
-) -> int:
+def fermionant(a: Matrix, k: int, algorithm: str = "dp") -> int:
     """Fermionant of a with parameter k via ``brute``, ``dp`` or
     ``immanants``.  k may be any integer for brute/dp; the immanants route
     requires k >= 1.  All routes agree wherever their bounds overlap."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError(f"k must be an integer, got {k!r}")
     if algorithm == "brute":
-        return _fermionant_brute(a, k, brute_max_n)
+        return _fermionant_brute(a, k)
     if algorithm == "dp":
-        return _fermionant_dp(a, k, dp_max_n)
+        return _fermionant_dp(a, k)
     if algorithm == "immanants":
-        return fermionant_via_immanants(a, k, max_n=brute_max_n)
+        return fermionant_via_immanants(a, k)
     raise ValueError(f"unknown algorithm {algorithm!r}; expected brute, dp or immanants")

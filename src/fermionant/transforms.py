@@ -82,25 +82,22 @@ def _gf2_rank(rows: list[int]) -> int:
 
 
 def _star_masks(graph: Multigraph, labels: list[int]) -> list[int]:
-    """Vertex-star cut vectors, omitting one vertex per component (given by
-    its ``connected_components`` labels).  Loops vanish over GF(2) (both
-    ends at the same vertex)."""
-    first_of_component: set[int] = set()
-    chosen: set[int] = set()
-    for v in range(graph.num_vertices):
-        if labels[v] not in first_of_component:
-            first_of_component.add(labels[v])
-            chosen.add(v)
-    stars = []
-    for v in range(graph.num_vertices):
-        if v in chosen:
-            continue
-        mask = 0
-        for eid, (a, b) in enumerate(graph.edges):
-            if (a == v) != (b == v):
-                mask ^= 1 << eid
-        stars.append(mask)
-    return stars
+    """Vertex-star cut vectors, omitting the first vertex of each component
+    (given by its ``connected_components`` labels), in one pass over the
+    edges.  A loop's bit is flipped twice at its one vertex, so it vanishes
+    over GF(2)."""
+    stars = [0] * graph.num_vertices
+    for eid, (a, b) in enumerate(graph.edges):
+        stars[a] ^= 1 << eid
+        stars[b] ^= 1 << eid
+    seen: set[int] = set()
+    kept = []
+    for label, star in zip(labels, stars):
+        if label in seen:
+            kept.append(star)
+        else:
+            seen.add(label)
+    return kept
 
 
 def bicycle_dimension(graph: Multigraph) -> int:

@@ -35,12 +35,12 @@ from .characters import character, schur_weyl_expand
 from .errors import CapacityError
 from .generators import exhaustive_plane_graphs, generate_eulerian_digraph, generate_plane_graph
 from .graphio import write_graph, write_matrix
-from .graphpoly import TUTTE_DEFAULT_MAX_EDGES, circuit_partition_poly, martin_rhs, tutte, tutte_diagonal
+from .graphpoly import TUTTE_MAX_EDGES, circuit_partition_poly, martin_rhs, tutte, tutte_diagonal
 from .graphs import Digraph, Multigraph, PlaneGraph, adjacency_matrix, connected_components
 from .hamilton import count_hamiltonian_cycles
 from .matrixfn import (
-    BRUTE_DEFAULT_MAX_N,
-    DP_DEFAULT_MAX_N,
+    BRUTE_MAX_N,
+    DP_MAX_N,
     Matrix,
     determinant,
     fermionant,
@@ -325,9 +325,10 @@ def verify_suite(
     """Run identity families I1-I8; deterministic in (seed, limits).
 
     Raises ``CapacityError`` before any family runs when a limit exceeds
-    the default cap of the route it feeds: ``max_n`` the brute and immanant
-    routes of I2, ``max_edges`` deletion-contraction Tutte (I4, I8) and
-    ``max_arcs`` the dp on the line digraph (I5), whose vertices are arcs.
+    the capacity bound of the route it feeds: ``max_n`` the brute and
+    immanant routes of I2, ``max_edges`` deletion-contraction Tutte (I4, I8)
+    and ``max_arcs`` the dp on the line digraph (I5), whose vertices are
+    arcs.
     A capacity limit is thus never reported as an identity violation.
     ``max_n`` below 2, or ``max_edges``, ``trials`` or ``max_arcs`` below 1,
     raises ``ValueError``, also before any family runs, so every family
@@ -339,9 +340,9 @@ def verify_suite(
     """
     limits = limits or Limits()
     for name, value, cap, route in (
-        ("max_n", limits.max_n, BRUTE_DEFAULT_MAX_N, "the brute and immanant routes"),
-        ("max_edges", limits.max_edges, TUTTE_DEFAULT_MAX_EDGES, "deletion-contraction Tutte"),
-        ("max_arcs", limits.max_arcs, DP_DEFAULT_MAX_N, "the dp fermionant of the line digraph"),
+        ("max_n", limits.max_n, BRUTE_MAX_N, "the brute and immanant routes"),
+        ("max_edges", limits.max_edges, TUTTE_MAX_EDGES, "deletion-contraction Tutte"),
+        ("max_arcs", limits.max_arcs, DP_MAX_N, "the dp fermionant of the line digraph"),
     ):
         if value > cap:
             raise CapacityError(f"verify {name} limited to {cap} by {route}, got {value}")

@@ -15,7 +15,8 @@ from fermionant import (
     ham_parity_via_ferm2,
 )
 
-from fermionant.hamilton import HAMILTONIAN_DEFAULT_MAX_N
+from fermionant import hamilton
+from fermionant.hamilton import HAMILTONIAN_MAX_N
 
 from conftest import cycle_graph, k4, path_graph, petersen
 
@@ -100,9 +101,13 @@ def test_count_matches_brute_enumeration():
         assert count_hamiltonian_cycles(g) == ham_count_brute(g), (n, g.edges)
 
 
-def test_capacity():
+def test_parity_checks_the_dp_bound_before_building_the_matrix(monkeypatch):
+    def no_matrix(graph):
+        raise AssertionError("adjacency matrix built past the dp bound")
+
+    monkeypatch.setattr(hamilton, "adjacency_matrix", no_matrix)
     with pytest.raises(CapacityError):
-        count_hamiltonian_cycles(cycle_graph(6), max_n=5)
+        ham_parity_via_ferm2(cycle_graph(21))
 
 
 def test_parity_examples():
@@ -222,7 +227,7 @@ def test_closed_forms_under_relabelling():
     for a in range(2, 10):
         expected = math.factorial(a) * math.factorial(a - 1) // 2
         assert count_hamiltonian_cycles(relabel(complete_bipartite(a, a), rng)) == expected, a
-        if 2 * a + 1 <= HAMILTONIAN_DEFAULT_MAX_N:
+        if 2 * a + 1 <= HAMILTONIAN_MAX_N:
             assert count_hamiltonian_cycles(relabel(complete_bipartite(a, a + 1), rng)) == 0, a
     for n in range(3, 19):
         assert count_hamiltonian_cycles(relabel(cycle_graph(n), rng)) == 1, n
