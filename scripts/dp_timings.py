@@ -3,12 +3,13 @@ drawn uniformly from +-1, +-2, +-3, seeded) and on the line digraphs of the
 medial graphs of seeded plane graphs (two nonzeros a row).
 
     python3 scripts/dp_timings.py levels [H ...]
-        For each h (default 4..13), the cost of one cover level with h
-        vertices above its lowest vertex, done by submask walks and by the
-        subset convolution: level m = 1 of a dense (h+2) x (h+2) matrix, the
-        only level the two runs do differently (every other level walks
-        submasks), best of a few k = 2 runs with the cycle sums memoised.
-        The crossover sets ``matrixfn._CONVOLVE_MIN_H``.
+        For each h (default 4..10), the cost of one cover level with h
+        vertices above its lowest vertex, done as a list walk over every
+        cycle and as the subset convolution: level m = 1 of a dense
+        (h+2) x (h+2) matrix, the only level the two runs do differently
+        (``matrixfn._list_cap`` is patched at h alone), best of a few k = 2
+        runs with the cycle sums memoised.  The crossover sets
+        ``matrixfn._CONVOLVE_MIN_H``.
     python3 scripts/dp_timings.py dense [N ...]
         For each n (default 14 16 18 20), in a fresh process: the first k,
         Ferm_2 from a cold memo, as its two phases timed apart (cycle_sums_s,
@@ -67,20 +68,21 @@ def _best_of(runs: int, call) -> float:
 
 
 def time_levels(hs: list[int]) -> None:
-    rule = matrixfn._level_kind
+    rule = matrixfn._list_cap
     try:
         for h in hs:
             a = dense_matrix(h + 2, 0)
-            row = {"h": h}
-            for kind in ("submask", "convolve"):
-                matrixfn._level_kind = lambda m, hh, count, kind=kind: kind if m == 1 else "submask"
+            times = {}
+            for kind, cap in (("list", 1 << h), ("convolve", 0)):
+                matrixfn._list_cap = lambda hh, h=h, cap=cap: cap if hh == h else rule(hh)
                 matrixfn._cycle_sums.cache_clear()
                 matrixfn._cycle_sums(a)
-                row[f"{kind}_s"] = round(_best_of(3 if h < 12 else 1, lambda: fermionant(a, 2, "dp")), 5)
-            row["convolve_over_submask"] = round(row["convolve_s"] / row["submask_s"], 3)
+                times[kind] = _best_of(3 if h < 10 else 1, lambda: fermionant(a, 2, "dp"))
+            row = {"h": h, **{f"{kind}_s": round(t, 6) for kind, t in times.items()}}
+            row["convolve_over_list"] = round(times["convolve"] / times["list"], 3)
             print(json.dumps(row), flush=True)
     finally:
-        matrixfn._level_kind = rule
+        matrixfn._list_cap = rule
         matrixfn._cycle_sums.cache_clear()
 
 
@@ -113,7 +115,7 @@ def time_medial(edges: int, graphs: int = 20) -> None:
 def main(argv: list[str]) -> None:
     mode, args = (argv[0], [int(x) for x in argv[1:]]) if argv else ("", [])
     if mode == "levels":
-        time_levels(args or list(range(4, 14)))
+        time_levels(args or list(range(4, 11)))
     elif mode == "dense":
         for n in args or [14, 16, 18, 20]:
             subprocess.run([sys.executable, __file__, "dense-one", str(n)], check=True)

@@ -20,17 +20,18 @@ so k = 1 recovers the determinant.  Three routes are provided:
                    peeling a cycle off the full set can leave.  A set peels
                    the cycle through its lowest vertex m, and the 2^h sets
                    lowest at m (h the number of vertices above m) form a
-                   level, done in one of three ways: where m has few nonzero
-                   cycles (count_m * 2^h < 3^h) each set walks the list of
-                   those cycles, so sparse matrices such as medial line
-                   digraphs skip the O(3^n) submask walk; else, at m > 0 with
-                   h >= 7 (the crossover measured on dense matrices), the
-                   whole level is one ranked subset convolution in
-                   O(h^2 2^h) digit operations, its values packed as
-                   fixed-width digits of B bits, B the bit length of
-                   prod_i max(1, sum_j |A_ij|) * max(1, |k|)^n plus a sign
-                   bit; every other level, m = 0 included, walks every
-                   submask of each set.
+                   level, done in one of two ways: where m has few nonzero
+                   cycles (any number while h < 6, the crossover measured
+                   on dense matrices; from h = 6 up, while count_m * 2^h <
+                   3^h) each set walks the list of those cycles, so sparse
+                   matrices such as medial line digraphs skip the O(3^n)
+                   work of a dense level; else the whole level is one
+                   ranked subset convolution in O(h^2 2^h) digit
+                   operations, its values packed as fixed-width digits of B
+                   bits, B the bit length of prod_i max(1, sum_j |A_ij|) *
+                   max(1, |k|)^n plus a sign bit.  Level 0 holds only the
+                   full set, so it is one sum over the cycles through
+                   vertex 0.
 * ``immanants`` -- the character expansion: sum over Young diagrams lam of n
                    with at most k rows of (semistandard tableau count of lam)
                    * (immanant of the transposed diagram), for integer k >= 1.
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from operator import add, lshift, mul, sub
 
 from .characters import character, schur_weyl_expand
@@ -256,35 +257,32 @@ def _fermionant_brute(a: Matrix, k: int) -> int:
     return -value if a.n % 2 else value
 
 
-# Levels with at least this many vertices above their lowest vertex are done
-# by one subset convolution rather than submask walks: the crossover that
-# ``python3 scripts/dp_timings.py levels`` measures on dense matrices.
-_CONVOLVE_MIN_H = 7
-_CONVOLVE = "convolve"
+# Levels with at least this many vertices above their lowest vertex, and too
+# many cycles for a list walk, are done by one subset convolution: the
+# crossover that ``python3 scripts/dp_timings.py levels`` measures on dense
+# matrices.
+_CONVOLVE_MIN_H = 6
 
 
-def _level_kind(m: int, h: int, count: int) -> str:
-    """How the cover phase peels the cycle through vertex m off the sets
-    whose lowest vertex is m, given h = n-1-m vertices above m and count
-    nonzero cycles lowest at m: "list" (walk those cycles), "convolve" (one
-    subset convolution over the level) or "submask" (walk every submask).
-    The one place the dp chooses a level's kind."""
-    if count << h < 3**h:
-        return "list"
-    if m and h >= _CONVOLVE_MIN_H:
-        return _CONVOLVE
-    return "submask"
+def _list_cap(h: int) -> int:
+    """The most nonzero cycles the cover phase walks as a list at a level
+    with h vertices above its lowest vertex.  Below ``_CONVOLVE_MIN_H`` every
+    level is a list walk (a level holds at most 2^h cycles); from there up a
+    list of count cycles costs count * 2^h steps, so it is kept only while
+    that is below the 3^h of walking every submask, which is exactly
+    count <= 3^h >> h.  The one rule that sets a level's kind."""
+    return 1 << h if h < _CONVOLVE_MIN_H else 3**h >> h
 
 
 @lru_cache(maxsize=1)
-def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...] | str | None, ...]]:
+def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...] | None, ...]]:
     """(C, walks).  C[S]: the weight sum of the single directed cycles with
-    vertex set exactly S that pass through min(S).  walks[m]: how the cover
-    phase handles the sets lowest at m, as ``_level_kind`` chose it: the
-    tuple of nonzero (S, C[S]) with min(S) = m for a list walk, ``_CONVOLVE``
-    for a subset convolution, None for submask walks.  Neither depends on k,
-    so both are memoised on the last matrix and the dp pays for them once
-    per matrix rather than once per k.
+    vertex set exactly S that pass through min(S).  walks[m]: the sorted
+    tuple of nonzero (S, C[S]) with min(S) = m, or None when m has more of
+    them than ``_list_cap`` allows, so the cover phase takes that level as
+    one subset convolution (m > 0) or a sum streamed from C (m = 0).
+    Neither depends on k, so both are memoised on the last matrix and the dp
+    pays for them once per matrix rather than once per k.
 
     For each lowest vertex m, weighted paths from m with interior above m
     are grown one popcount layer at a time (Held and Karp's path dp, 1962).
@@ -300,28 +298,21 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
     end rather than h.  Each set is dropped once extended, so about two
     layers are held at a time.
 
-    For m > 0 the cover phase visits every set whose lowest vertex is m,
-    2^h of them with h = n-1-m vertices above m; their submask walks take
-    3^h steps in all, and walking a list of count_m cycles instead takes
-    count_m * 2^h.  The list is used only when that is fewer.  The search
-    collects the nonzero cycles it closes, but no more than the 3^h >> h a
-    list level can hold, so a dense level allocates no list and a sparse
-    one is not rescanned over all 2^h sets.  At m = 0 only the full set is
-    visited, and the same rule errs towards the submask walk.
+    The search collects the nonzero cycles it closes, but no more than one
+    past the cap, so a dense level allocates no long list and a sparse one
+    is not rescanned over all 2^h sets.
     """
     n = a.n
     rows = a.rows
     C = [0] * (1 << n)
-    walks: list[tuple[tuple[int, int], ...] | str | None] = [None] * n
+    walks: list[tuple[tuple[int, int], ...] | None] = [None] * n
     columns = list(zip(*rows))
     bits = [1 << l for l in range(n)]
     nonzero = [sum(compress(bits, row)) for row in rows]  # each row's nonzero columns
     for m in range(n):
-        bit_m = 1 << m
         h = n - 1 - m
-        cap = 3**h >> h  # no list level holds more cycles
+        cap = _list_cap(h)
         found: list[tuple[int, int]] = []
-        count = 0
         # Vertex m+i is bit i: cols[i] is its column over the rows m..n-1,
         # succ[i] the vertices from m up it has a nonzero entry to.
         cols = [col[m:] for col in columns[m:]]
@@ -338,8 +329,7 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
                     s = sum(map(mul, vec, cols[0]))
                     if s:
                         C[mask << m] = s
-                        count += 1
-                        if count <= cap:
+                        if len(found) <= cap:
                             found.append((mask << m, s))
                 targets = reach & ~mask
                 while targets:
@@ -354,13 +344,8 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
                         entry[0][i] = w
                         entry[1] |= succ[i]
             layer = nxt
-        kind = _level_kind(m, h, count)
-        if kind == "list":
-            if len(found) < count:  # a forced list on a level too big to collect
-                found = [(S, C[S]) for S in range(bit_m, 1 << n, bit_m << 1) if C[S]]
+        if len(found) <= cap:
             walks[m] = tuple(sorted(found))
-        elif kind == _CONVOLVE:
-            walks[m] = _CONVOLVE
     return tuple(C), tuple(walks)
 
 
@@ -385,22 +370,26 @@ def _subset_sums(v: list[int], h: int, op) -> None:
 
 def _fermionant_dp(a: Matrix, k: int) -> int:
     """The dp route.  Sets are peeled one cycle at a time, the cycle through
-    their lowest vertex m, with levels m taken from n-1 down; each level is
-    done in one of three ways, chosen per matrix by ``_level_kind``:
+    their lowest vertex m, with levels m taken from n-1 down.  A level m > 0
+    is done in one of two ways, as ``_cycle_sums`` kept its cycles:
 
-    * list walk -- where m has few nonzero cycles (count_m * 2^h < 3^h), each
-      set reads only the listed cycles that fit in it;
-    * subset convolution -- at a level m > 0 with h >= ``_CONVOLVE_MIN_H``
-      vertices above m, the 2^h values F[{m} | X] = -k * sum over T within X
-      of C[{m} | T] * F[X - T] form one subset convolution of the strided
-      slices C[2^m::2^(m+1)] and F[0::2^(m+1)], done as Bjorklund, Husfeldt,
-      Kaski and Koivisto's ranked convolution ("Fourier meets Moebius", STOC
-      2007) in O(h^2 2^h) digit operations rather than 3^h: a value at X is
-      packed as v << (B |X|), both vectors are zeta-transformed, multiplied
-      pointwise and Moebius-transformed, and the answer at X is digit |X|,
-      read as a signed residue mod 2^B;
-    * submask walk -- every other level, m = 0 included (it holds only the
-      full set), walks every submask of each set.
+    * list walk -- where m has at most ``_list_cap(h)`` nonzero cycles, h
+      the number of vertices above m, each set reads only the listed cycles
+      that fit in it;
+    * subset convolution -- otherwise the 2^h values F[{m} | X] = -k * sum
+      over T within X of C[{m} | T] * F[X - T] form one subset convolution
+      of the strided slices C[2^m::2^(m+1)] and F[0::2^(m+1)], done as
+      Bjorklund, Husfeldt, Kaski and Koivisto's ranked convolution ("Fourier
+      meets Moebius", STOC 2007) in O(h^2 2^h) digit operations rather than
+      3^h: a value at X is packed as v << (B |X|), both vectors are
+      zeta-transformed, multiplied pointwise and Moebius-transformed, and
+      the answer at X is digit |X|, read as a signed residue mod 2^B.
+
+    Level 0 holds only the full set, so it is one sum, -k * sum of
+    C[T] * F[full ^ T] over the cycles T through vertex 0: over the kept
+    list, or else over every odd T at once, streamed from C: a dot product
+    of C's odd entries with F's even ones in reverse (full ^ T = full - T),
+    which copies neither.
 
     In the convolution, digit t at X sums the pairs (T, U) with T | U = X and
     |T| + |U| = t, so every digit below |X| is exactly 0 and digit |X| is
@@ -426,7 +415,7 @@ def _fermionant_dp(a: Matrix, k: int) -> int:
     negk = -k
     F = [0] * (full + 1)
     F[0] = 1
-    if _CONVOLVE in walks:
+    if None in walks[1:]:
         bound = max(1, abs(k)) ** n
         for row in a.rows:
             bound *= max(1, sum(map(abs, row)))
@@ -435,26 +424,12 @@ def _fermionant_dp(a: Matrix, k: int) -> int:
         half = 1 << (width - 1)
         # shifts[j] = width * |j|, for every level's 2^h indices at once
         shifts = [0]
-        for i in range(n - 1 - walks.index(_CONVOLVE)):
+        for i in range(n - 1 - walks.index(None, 1)):
             shifts += [s + width for s in shifts]
-    for m in range(n - 1, -1, -1):
+    for m in range(n - 1, 0, -1):
         low = 1 << m
-        sets = range(low, full + 1, low << 1) if m else (full,)
         walk = walks[m]
         if walk is None:
-            for S in sets:
-                rest = S ^ low
-                acc = 0
-                Tp = rest
-                while True:
-                    c = C[low | Tp]
-                    if c:
-                        acc += c * F[S ^ (low | Tp)]
-                    if Tp == 0:
-                        break
-                    Tp = (Tp - 1) & rest
-                F[S] = negk * acc
-        elif walk is _CONVOLVE:
             h = n - 1 - m
             stride = low << 1
             cz = list(map(lshift, C[low::stride], shifts))
@@ -466,13 +441,19 @@ def _fermionant_dp(a: Matrix, k: int) -> int:
             _subset_sums(cz, h, sub)
             F[low::stride] = [negk * ((v >> s & digit ^ half) - half) for v, s in zip(cz, shifts)]
         elif walk:  # with no cycle lowest at m, every F[S] here stays 0
-            for S in sets:
+            for S in range(low, full + 1, low << 1):
                 acc = 0
                 for cyc, c in walk:
                     if cyc & S == cyc:
                         acc += c * F[S ^ cyc]
                 F[S] = negk * acc
-    return -F[full] if n % 2 else F[full]
+    walk = walks[0]
+    if walk is None:
+        acc = sum(map(mul, islice(C, 1, None, 2), islice(reversed(F), 1, None, 2)))
+    else:
+        acc = sum(c * F[full ^ cyc] for cyc, c in walk)
+    value = negk * acc
+    return -value if n % 2 else value
 
 
 def immanant(a: Matrix, lam: Partition) -> int:

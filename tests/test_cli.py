@@ -175,6 +175,14 @@ def test_parse_and_capacity_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_undecodable_input_names_the_file(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["ferm", "--matrix", str(bad), "--k", "2"])
+    assert code == 2 and out == ""
+    assert f"cannot read {bad}" in err
+
+
 def test_ham_count_capacity_exit_code(capsys, tmp_path):
     rng = random.Random(18)
 

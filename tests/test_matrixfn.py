@@ -297,7 +297,7 @@ def test_dp_cycle_sums_are_memoised_per_matrix():
             assert fermionant(m, k, "dp") == expected[m, k]
 
 
-def test_dp_walks_cycle_lists_and_submasks_in_one_matrix():
+def test_dp_walks_sparse_and_dense_cycle_lists_in_one_matrix():
     rng = random.Random(83)
     n = 8
     rows = [[0] * n for _ in range(n)]
@@ -312,7 +312,7 @@ def test_dp_walks_cycle_lists_and_submasks_in_one_matrix():
     a = Matrix(tuple(tuple(r) for r in rows))
     _, walks = matrixfn._cycle_sums(a)
     assert len(walks[0]) == 3 and walks[1] == () and len(walks[2]) == 1
-    assert all(w is None for w in walks[3:])
+    assert all(isinstance(w, tuple) for w in walks[3:])
     for k in (-2, 0, 1, 2, 3):
         assert fermionant(a, k, "dp") == cycle_cover_fermionant_brute(rows, k)
 
@@ -350,28 +350,34 @@ def forced_level_cases():
 
 @pytest.fixture
 def force_level_kind(monkeypatch):
-    """Make every cover level take one kind: the list walk, the submask walk
-    or, at every level m > 0, the subset convolution (level 0 holds only the
-    full set and keeps its submask walk)."""
+    """Make every cover level take one kind: "list" keeps every level's
+    cycles, level 0 included, so each level m > 0 is a list walk and level 0
+    sums the list; "convolve" keeps none, so every level m > 0 with a cycle
+    is a subset convolution and level 0 streams its sum from C."""
 
     def force(kind):
-        rule = (lambda m, h, count: kind if m else "submask") if kind == "convolve" else (lambda m, h, count: kind)
-        monkeypatch.setattr(matrixfn, "_level_kind", rule)
+        rule = (lambda h: 0) if kind == "convolve" else (lambda h: 1 << h)
+        monkeypatch.setattr(matrixfn, "_list_cap", rule)
         matrixfn._cycle_sums.cache_clear()
 
     yield force
     matrixfn._cycle_sums.cache_clear()
 
 
-@pytest.mark.parametrize("kind", ["convolve", "submask", "list"])
+@pytest.mark.parametrize("kind", ["convolve", "list"])
 def test_dp_forced_level_kind_matches_definition(force_level_kind, kind):
     force_level_kind(kind)
+    unlisted = set()  # whether level 0, and a level m > 0, went unlisted
     for a, expected in forced_level_cases():
-        if a.n > 1:
-            w = matrixfn._cycle_sums(a)[1][1]
-            assert {"convolve": w is matrixfn._CONVOLVE, "submask": w is None, "list": isinstance(w, tuple)}[kind]
+        walks = matrixfn._cycle_sums(a)[1]
+        if kind == "list":
+            assert all(isinstance(w, tuple) for w in walks), a
+        else:
+            assert not any(walks), a  # None, or () at a level with no cycle
+            unlisted |= {m > 0 for m, w in enumerate(walks) if w is None}
         for k, value in expected.items():
             assert fermionant(a, k, "dp") == value, (a, k, kind)
+    assert unlisted == ({False, True} if kind == "convolve" else set())
 
 
 def cycle_sums_cases():
@@ -393,10 +399,10 @@ def cycle_sums_cases():
 @pytest.mark.parametrize("forced", [None, "list"])
 def test_cycle_sums_match_cycle_enumeration(force_level_kind, forced):
     """The whole memoised (C, walks) against the definition: C[S] summed over
-    the cycles on S, and each level's walk as ``_level_kind`` chooses it
-    from the true cycle count, a list level holding exactly the nonzero
-    (S, C[S]) lowest at m in order of S.  Forcing every level to a list also
-    covers the levels too dense to collect their cycles while searching."""
+    the cycles on S, and each level's walk as ``_list_cap`` allows it for
+    the true cycle count, a kept list holding exactly the nonzero (S, C[S])
+    lowest at m in order of S, and None past the cap.  Forcing every level
+    to a list also covers the levels too dense to list by default."""
     if forced:
         force_level_kind(forced)
     cases = cycle_sums_cases()
@@ -407,8 +413,8 @@ def test_cycle_sums_match_cycle_enumeration(force_level_kind, forced):
         assert C == tuple(expected), a
         for m, walk in enumerate(walks):
             cycles = tuple((S, c) for S, c in enumerate(expected) if c and S & -S == 1 << m)
-            kind = forced or matrixfn._level_kind(m, a.n - 1 - m, len(cycles))
-            assert walk == {"list": cycles, "convolve": matrixfn._CONVOLVE, "submask": None}[kind], (a, m)
+            listed = forced or len(cycles) <= matrixfn._list_cap(a.n - 1 - m)
+            assert walk == (cycles if listed else None), (a, m)
         if all(all(row) for row in a.rows):
             cancelled += expected[1:].count(0)
     assert cancelled > 0
@@ -419,8 +425,9 @@ def test_cycle_sums_match_cycle_enumeration(force_level_kind, forced):
 def three_kind_matrix(rng, n=13):
     """Dense, except that vertex 3 reaches only itself and vertex 7, and is
     reached only from them: vertex 3 has two cycles above it (a list walk),
-    the dense vertices 1, 2, 4 and 5 have h = 7..11 above them (subset
-    convolutions), and vertices 6 and up have h <= 6 (submask walks)."""
+    the dense vertices 1, 2, 4, 5 and 6 have h = 6..11 above them (subset
+    convolutions), vertices 7 and up have h <= 5 (list walks), and vertex 0
+    has too many cycles to list (the sum streamed from C)."""
     rows = [[rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(n)] for _ in range(n)]
     for j in range(n):
         if j not in (3, 7):
@@ -440,8 +447,8 @@ def test_dp_matches_independent_oracles_at_n_10_to_13():
     rank3 = Matrix(tuple(tuple(sum(u[i][t] * v[t][j] for t in range(3)) for j in range(12)) for i in range(12)))
     three_kinds = three_kind_matrix(rng)
     walks = matrixfn._cycle_sums(three_kinds)[1]
-    assert {1, 2, 4, 5} == {m for m, w in enumerate(walks) if w is matrixfn._CONVOLVE}
-    assert len(walks[3]) == 2 and walks[6] is None
+    assert {0, 1, 2, 4, 5, 6} == {m for m, w in enumerate(walks) if w is None}
+    assert len(walks[3]) == 2 and isinstance(walks[7], tuple)
     cases = [
         (huge, (1, -1, 2, 3, 50, -50)),
         (zero_row, (1, -1, 2, 3, 50, -50)),
@@ -480,7 +487,7 @@ def test_dp_reproduces_pinned_dense_n14_values():
     assert refs["n"] == 14 and refs["confirmed_by"] == "colouring expansion"
     for rows, pinned in list(zip(refs["matrices"], refs["ferm"]))[:3]:
         a = Matrix(tuple(map(tuple, rows)))
-        assert matrixfn._CONVOLVE in matrixfn._cycle_sums(a)[1]
+        assert None in matrixfn._cycle_sums(a)[1][1:]
         assert fermionant(a, 2, "dp") == int(pinned["2"])
         assert fermionant(a, 3, "dp") == int(pinned["3"])
 

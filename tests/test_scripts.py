@@ -1,0 +1,24 @@
+"""Smoke tests for the scripts under scripts/, which reach into private
+names of the package and so break silently when those are renamed."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_dp_timings_levels_prints_one_json_line_per_h():
+    # the levels mode patches matrixfn._list_cap, the rule that sets each
+    # cover level's kind
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "dp_timings.py"), "levels", "3", "4"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [row["h"] for row in rows] == [3, 4]
+    for row in rows:
+        assert isinstance(row["list_s"], float) and isinstance(row["convolve_s"], float)
