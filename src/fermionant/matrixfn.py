@@ -14,7 +14,13 @@ so k = 1 recovers the determinant.  Three routes are provided:
                    on k and is memoised on the last matrix (a weighted
                    Held-Karp path dp, each path extension one C-level dot
                    product of a set's path sums with a column, tried only at
-                   the vertices its paths' ends reach); then covers
+                   the vertices its paths' ends reach; at a lowest vertex m
+                   with more than five vertices above it, whose rows and
+                   columns from m up hold at least 4.5 nonzeros a row, the
+                   2^5 sets that differ only in the next five vertices ride
+                   as signed digits of one integer per path end, W bits
+                   each, W the bit length of prod_i max(1, sum_j |A_ij|)
+                   over those rows and columns plus a sign bit); then covers
                    combined one cycle at a time, each cycle weighted -k, over
                    the sets without vertex 0 and the full set, the only sets
                    peeling a cycle off the full set can leave.  A set peels
@@ -274,6 +280,26 @@ def _list_cap(h: int) -> int:
     return 1 << h if h < _CONVOLVE_MIN_H else 3**h >> h
 
 
+# A cycle-sum level with more than _PACK_BLOCK vertices above its lowest
+# vertex, whose block averages at least _PACK_MIN_DEGREE nonzeros a row,
+# carries its next _PACK_BLOCK vertices as packed digits: the crossover that
+# ``python3 scripts/dp_timings.py pack`` measures.
+_PACK_BLOCK = 5
+_PACK_MIN_DEGREE = 4.5
+
+
+def _low_block(h: int, succ: list[int]) -> int:
+    """How many vertices above m the cycle-sum search at level m packs into
+    digits, given h and the level's rows as nonzero masks over the vertices
+    from m up: ``_PACK_BLOCK`` where h exceeds it and the block is dense,
+    else 0, the unpacked search.  Packing pays for every digit, nonzero or
+    not, so sparse levels such as medial line digraphs stay unpacked.  The
+    one rule that sets a level's block."""
+    if h <= _PACK_BLOCK or sum(map(int.bit_count, succ)) < _PACK_MIN_DEGREE * (h + 1):
+        return 0
+    return _PACK_BLOCK
+
+
 @lru_cache(maxsize=1)
 def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...] | None, ...]]:
     """(C, walks).  C[S]: the weight sum of the single directed cycles with
@@ -298,9 +324,30 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
     end rather than h.  Each set is dropped once extended, so about two
     layers are held at a time.
 
+    A dense level packs its next b vertices m+1..m+b, the low block, as
+    ``_low_block`` rules (the search above is b = 0).  A set then names
+    only m and its vertices above the block, H, and each end's entry is one
+    integer whose 2^b fixed-width signed digits hold the path sums for every
+    low subset L at once, digit L at bit W * L, so every dot product does
+    the work of 2^b sets.  The paths on H first gain their low vertices in
+    up to b rounds: a round takes the dot product of the last round's ends
+    with column w, keeps the digits whose L lacks w by the offset trick
+    ((t + off) & keep_w) - (off & keep_w), off holding half a digit in each,
+    and shifts them by W * 2^(w-1), from L to L + {w}.  Closing to m is one
+    dot product, its digits sliced into C[{m} + H + L]; each step to a
+    vertex above the block is one dot product, as unpacked.
+
+    W is the bit length of R = prod_i max(1, sum_j |a_ij|), over the rows
+    and columns from m up, plus a sign bit, so every digit read lies in
+    (-2^(W-1), 2^(W-1)) and no digit borrows from or carries into the next.
+    A digit sums products of one entry from each of distinct rows, so R
+    bounds it: a path sum or cycle sum, and also a masked-out digit, whose
+    walks revisit w once at their last step, so their rows are still
+    distinct.
+
     The search collects the nonzero cycles it closes, but no more than one
-    past the cap, so a dense level allocates no long list and a sparse one
-    is not rescanned over all 2^h sets.
+    past the cap (one packed closing past it), so a dense level allocates no
+    long list and a sparse one is not rescanned over all 2^h sets.
     """
     n = a.n
     rows = a.rows
@@ -317,21 +364,68 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
         # succ[i] the vertices from m up it has a nonzero entry to.
         cols = [col[m:] for col in columns[m:]]
         succ = [z >> m for z in nonzero[m:]]
+        b = _low_block(h, succ)
+        highs = (2 << h) - (2 << b)  # the bits above the low block 1..b
+        if b:
+            bound = 1
+            for row in rows[m:]:
+                bound *= max(1, sum(map(abs, row[m:])))
+            width = bound.bit_length() + 1
+            digit = (1 << width) - 1
+            half = 1 << (width - 1)
+            span = width << b
+            off = half * ((1 << span) - 1) // digit  # half in every digit
+            # for each low vertex w: its column, over the low ends alone,
+            # keep, off & keep and the shift; keep is all-ones in the digits
+            # whose subset lacks w, runs of 2^(w-1) with period 2^w digits
+            lows = []
+            for w in range(1, b + 1):
+                keep = ((1 << (width << w - 1)) - 1) * ((1 << span) - 1) // ((1 << (width << w)) - 1)
+                lows.append((cols[w], cols[w][1:b + 1], keep, off & keep, width << w - 1))
+            shifts = range(0, span, width)
+            stride = 2 << m
+            stop = stride << b
         # layer[mask] = [vec, reach] for the sets of one popcount, mask
-        # holding m and the paths' vertices above it: vec[i] sums the paths
-        # m -> m+i on exactly mask, reach ORs succ over its nonzero ends.
+        # holding m and the paths' vertices above the low block: vec[i]
+        # sums the paths m -> m+i on exactly mask (digit L of it, with the
+        # low vertices in L, when packed), reach ORs succ over its nonzero
+        # ends.
         layer = {1: [[1] + [0] * h, succ[0]]}
         while layer:
             nxt: dict[int, list] = {}
             while layer:
                 mask, (vec, reach) = layer.popitem()
+                if b:
+                    # paths on mask end at m or above the block; each round
+                    # steps every path of the last one to a low vertex w
+                    # not in its digit's subset, moving digit L to L + {w}
+                    new = [((sum(map(mul, vec, col)) + off & keep) - offk) << shift
+                           for col, _, keep, offk, shift in lows]
+                    ends = new
+                    for _ in range(b - 1):
+                        if not any(new):
+                            break
+                        new = [((sum(map(mul, new, low)) + off & keep) - offk) << shift
+                               for _, low, keep, offk, shift in lows]
+                        ends = list(map(add, ends, new))
+                    vec[1:b + 1] = ends
+                    for w, v in enumerate(ends, 1):
+                        if v:
+                            reach |= succ[w]
                 if reach & 1:
                     s = sum(map(mul, vec, cols[0]))
-                    if s:
+                    if s and b:
+                        s += off
+                        start = mask << m
+                        sums = [(s >> t & digit) - half for t in shifts]
+                        C[start:start + stop:stride] = sums
+                        if len(found) <= cap:
+                            found += [(S, c) for S, c in zip(range(start, start + stop, stride), sums) if c]
+                    elif s:
                         C[mask << m] = s
                         if len(found) <= cap:
                             found.append((mask << m, s))
-                targets = reach & ~mask
+                targets = reach & highs & ~mask
                 while targets:
                     bit = targets & -targets
                     targets ^= bit

@@ -317,7 +317,7 @@ def test_dp_walks_sparse_and_dense_cycle_lists_in_one_matrix():
         assert fermionant(a, k, "dp") == cycle_cover_fermionant_brute(rows, k)
 
 
-def test_dp_medial_line_digraphs_match_tutte_diagonal():
+def test_dp_medial_line_digraphs_match_tutte_diagonal(packed_levels):
     rng = random.Random(97)
     for edges in (8, 9):
         g = generate_plane_graph(rng.randrange(2**31), edges)
@@ -329,6 +329,8 @@ def test_dp_medial_line_digraphs_match_tutte_diagonal():
         for k in (2, 3):
             assert fermionant(a, k, "dp") == (-k) ** c * tutte_diagonal(g.graph, 1 - k)
         assert any(w is not None for w in matrixfn._cycle_sums(a)[1])
+        # two nonzeros a row: the unpacked search at every level
+        assert not packed_levels(a)
 
 
 FORCED_KS = (-2, -1, 0, 1, 2, 3)
@@ -364,26 +366,85 @@ def force_level_kind(monkeypatch):
     matrixfn._cycle_sums.cache_clear()
 
 
-@pytest.mark.parametrize("kind", ["convolve", "list"])
-def test_dp_forced_level_kind_matches_definition(force_level_kind, kind):
-    force_level_kind(kind)
+PACKED = ["pack1", "pack2", "pack3", "pack5"]
+
+
+@pytest.fixture
+def force_packing(monkeypatch):
+    """Make the cycle-sum search pack every level with h >= 1, at b =
+    min(block, h): "pack3" packs the next three vertices, so a level with
+    more above it walks several high sets, steps between them and masks
+    digits, and one with fewer packs them all.  Returns the blocks the rule
+    handed out, so a test can see the packed search ran."""
+    blocks = []
+
+    def force(kind):
+        block = int(kind.removeprefix("pack"))
+
+        def rule(h, succ):
+            blocks.append(min(block, h))
+            return blocks[-1]
+
+        monkeypatch.setattr(matrixfn, "_low_block", rule)
+        matrixfn._cycle_sums.cache_clear()
+        return blocks
+
+    yield force
+    matrixfn._cycle_sums.cache_clear()
+
+
+@pytest.fixture
+def packed_levels(monkeypatch):
+    """packed_levels(a): the levels m at which a fresh cycle-sum search of a
+    packs a low block under the default rule."""
+    rule = matrixfn._low_block
+    seen = []
+
+    def spy(h, succ):
+        seen.append((h, rule(h, succ)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(matrixfn, "_low_block", spy)
+
+    def levels(a):
+        seen.clear()
+        matrixfn._cycle_sums.cache_clear()
+        matrixfn._cycle_sums(a)
+        assert len(seen) == a.n
+        return {a.n - 1 - h for h, b in seen if b}
+
+    yield levels
+    matrixfn._cycle_sums.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["convolve", "list", *PACKED])
+def test_dp_forced_level_kind_matches_definition(force_level_kind, force_packing, kind):
+    """Every cover level of one kind, or every cycle-sum level packed (with
+    the default cover rule), against the brute Ferm_k."""
+    if kind in PACKED:
+        blocks = force_packing(kind)
+    else:
+        force_level_kind(kind)
     unlisted = set()  # whether level 0, and a level m > 0, went unlisted
     for a, expected in forced_level_cases():
         walks = matrixfn._cycle_sums(a)[1]
         if kind == "list":
             assert all(isinstance(w, tuple) for w in walks), a
-        else:
+        elif kind == "convolve":
             assert not any(walks), a  # None, or () at a level with no cycle
             unlisted |= {m > 0 for m, w in enumerate(walks) if w is None}
         for k, value in expected.items():
             assert fermionant(a, k, "dp") == value, (a, k, kind)
     assert unlisted == ({False, True} if kind == "convolve" else set())
+    if kind in PACKED:
+        assert max(blocks) == int(kind.removeprefix("pack"))
 
 
 def cycle_sums_cases():
     """n <= 7: dense, zero-heavy, 0/1 and +-1 matrices, the +-1 ones with
-    every entry nonzero, so that many sets' path sums cancel to 0; and the
-    medial line digraph of a 4-edge plane graph (n = 8)."""
+    every entry nonzero, so that many sets' path sums cancel to 0; a 2-cycle
+    of large entries; and the medial line digraph of a 4-edge plane graph
+    (n = 8)."""
     rng = random.Random(113)
     cases = [random_matrix(rng, n) for n in range(1, 8) for _ in range(2)]
     cases += [a for n in range(1, 8) for a in sparse_matrices(rng, n)]
@@ -393,18 +454,23 @@ def cycle_sums_cases():
     g = generate_plane_graph(rng.randrange(2**31), 4)
     while g.num_edges != 4:
         g = generate_plane_graph(rng.randrange(2**31), 4)
-    return cases + [medial_line_adjacency(g)]
+    # its one cycle sum, c^2, equals the packing's width bound R exactly
+    c = 10**6 + 3
+    return cases + [Matrix(((0, c), (c, 0))), medial_line_adjacency(g)]
 
 
-@pytest.mark.parametrize("forced", [None, "list"])
-def test_cycle_sums_match_cycle_enumeration(force_level_kind, forced):
+@pytest.mark.parametrize("forced", [None, "list", *PACKED])
+def test_cycle_sums_match_cycle_enumeration(force_level_kind, force_packing, forced):
     """The whole memoised (C, walks) against the definition: C[S] summed over
     the cycles on S, and each level's walk as ``_list_cap`` allows it for
     the true cycle count, a kept list holding exactly the nonzero (S, C[S])
     lowest at m in order of S, and None past the cap.  Forcing every level
-    to a list also covers the levels too dense to list by default."""
-    if forced:
+    to a list also covers the levels too dense to list by default; forcing
+    every level to pack covers the packed search on every kind of input."""
+    if forced == "list":
         force_level_kind(forced)
+    elif forced:
+        blocks = force_packing(forced)
     cases = cycle_sums_cases()
     cancelled = 0
     for a in cases:
@@ -413,13 +479,15 @@ def test_cycle_sums_match_cycle_enumeration(force_level_kind, forced):
         assert C == tuple(expected), a
         for m, walk in enumerate(walks):
             cycles = tuple((S, c) for S, c in enumerate(expected) if c and S & -S == 1 << m)
-            listed = forced or len(cycles) <= matrixfn._list_cap(a.n - 1 - m)
+            listed = forced == "list" or len(cycles) <= matrixfn._list_cap(a.n - 1 - m)
             assert walk == (cycles if listed else None), (a, m)
         if all(all(row) for row in a.rows):
             cancelled += expected[1:].count(0)
     assert cancelled > 0
     # the medial line digraph has a nonempty list level under either rule
     assert any(isinstance(w, tuple) and w for w in matrixfn._cycle_sums(cases[-1])[1])
+    if forced in PACKED:
+        assert max(blocks) == int(forced.removeprefix("pack"))
 
 
 def three_kind_matrix(rng, n=13):
@@ -436,7 +504,7 @@ def three_kind_matrix(rng, n=13):
     return Matrix(tuple(map(tuple, rows)))
 
 
-def test_dp_matches_independent_oracles_at_n_10_to_13():
+def test_dp_matches_independent_oracles_at_n_10_to_13(packed_levels):
     rng = random.Random(107)
     huge = Matrix(tuple(tuple(rng.randint(-10**6, 10**6) for _ in range(10)) for _ in range(10)))
     rows = [list(r) for r in random_matrix(rng, 11).rows]
@@ -459,6 +527,7 @@ def test_dp_matches_independent_oracles_at_n_10_to_13():
     for a, ks in cases:
         n = a.n
         rows = [list(r) for r in a.rows]
+        assert packed_levels(a), n  # dense enough to pack under the default rule
         for k in ks:
             if k == 1:
                 expected = determinant(a)
@@ -480,13 +549,15 @@ def test_colouring_oracle_matches_definition():
             assert {k: colouring_fermionant(rows, k) for k in expected} == expected
 
 
-def test_dp_reproduces_pinned_dense_n14_values():
+def test_dp_reproduces_pinned_dense_n14_values(packed_levels):
     # read only: three matrices of the benchmark's dense pool, whose Ferm_2
     # and Ferm_3 were confirmed by the colouring expansion when recorded
     refs = json.loads(DP_DENSE_REFS.read_text())
     assert refs["n"] == 14 and refs["confirmed_by"] == "colouring expansion"
     for rows, pinned in list(zip(refs["matrices"], refs["ferm"]))[:3]:
         a = Matrix(tuple(map(tuple, rows)))
+        # every entry nonzero: each level with more than a block above it packs
+        assert packed_levels(a) == set(range(a.n - 1 - matrixfn._PACK_BLOCK))
         assert None in matrixfn._cycle_sums(a)[1][1:]
         assert fermionant(a, 2, "dp") == int(pinned["2"])
         assert fermionant(a, 3, "dp") == int(pinned["3"])

@@ -22,3 +22,18 @@ def test_dp_timings_levels_prints_one_json_line_per_h():
     assert [row["h"] for row in rows] == [3, 4]
     for row in rows:
         assert isinstance(row["list_s"], float) and isinstance(row["convolve_s"], float)
+
+
+def test_dp_timings_pack_prints_one_json_line_per_matrix():
+    # the pack mode patches matrixfn._low_block, the rule that sets each
+    # cycle-sum level's packed block; at n = 7 only level 0 can pack
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "dp_timings.py"), "pack", "7"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert rows and all(row["n"] == 7 for row in rows)
+    assert {row["p"] for row in rows} >= {0.15, 1.0}
+    for row in rows:
+        assert 0 <= row["nonzeros_per_row"] <= 7
+        assert isinstance(row["packed_s"], float) and isinstance(row["unpacked_s"], float)
