@@ -7,9 +7,10 @@ medial graphs of seeded plane graphs (two nonzeros a row).
         vertices above its lowest vertex, done as a list walk over every
         cycle and as the subset convolution: level m = 1 of a dense
         (h+2) x (h+2) matrix, the only level the two runs do differently
-        (``matrixfn._list_cap`` is patched at h alone), best of a few k = 2
-        runs with the cycle sums memoised.  The crossover sets
-        ``matrixfn._CONVOLVE_MIN_H``.
+        (``matrixfn._list_cap`` is patched at h alone, and
+        ``matrixfn._FOLD`` to 1, so that level 1 is not folded into the
+        per-matrix top), best of a few k = 2 runs with the cycle sums
+        memoised.  The crossover sets ``matrixfn._CONVOLVE_MIN_H``.
     python3 scripts/dp_timings.py pack [N ...]
         For each n (default 12 15 17) and each density p of a grid from 0.15
         to 1, two seeded n x n matrices whose entries are nonzero with
@@ -18,12 +19,20 @@ medial graphs of seeded plane graphs (two nonzeros a row).
         packed (packed_s) and with none packed (unpacked_s), best of a few
         runs, and the matrix's mean nonzeros per row.  The crossover sets
         ``matrixfn._PACK_MIN_DEGREE``.
+    python3 scripts/dp_timings.py fold [N ...]
+        For each n (default 14 16) and each ``matrixfn._FOLD`` of 1, 2, 3
+        and 4, a dense n x n matrix: the first k (Ferm_2 from a cold memo,
+        so the cycle sums, the folded top and the cover) and a further k
+        (Ferm_3, the cover alone), best of a few runs, and the number of
+        levels folded.  The fastest sets ``matrixfn._FOLD``.
     python3 scripts/dp_timings.py dense [N ...]
         For each n (default 14 16 18 20), in a fresh process: the first k,
         Ferm_2 from a cold memo, as its two phases timed apart (cycle_sums_s,
-        the k-independent cycle sums, then cover_s, the cover for k = 2),
-        then Ferm_3, Ferm_-1 and Ferm_1 on the same matrix (cover only), and
-        the process's peak RSS.
+        the k-independent phase: the cycle sums and, from them, the folded
+        top of the cover, the per-matrix polynomial in -k of the cycles
+        through the lowest levels; then cover_s, the rest of the cover for
+        k = 2), then Ferm_3, Ferm_-1 and Ferm_1 on the same matrix (cover
+        only), and the process's peak RSS.
     python3 scripts/dp_timings.py medial [EDGES ...]
         For each edge count (default 7 8 9 10), the line digraph of the
         medial graph of each of 20 seeded plane graphs with that many edges
@@ -84,7 +93,8 @@ def _best_of(runs: int, call) -> float:
 
 
 def time_levels(hs: list[int]) -> None:
-    rule = matrixfn._list_cap
+    rule, fold = matrixfn._list_cap, matrixfn._FOLD
+    matrixfn._FOLD = 1
     try:
         for h in hs:
             a = dense_matrix(h + 2, 0)
@@ -98,7 +108,7 @@ def time_levels(hs: list[int]) -> None:
             row["convolve_over_list"] = round(times["convolve"] / times["list"], 3)
             print(json.dumps(row), flush=True)
     finally:
-        matrixfn._list_cap = rule
+        matrixfn._list_cap, matrixfn._FOLD = rule, fold
         matrixfn._cycle_sums.cache_clear()
 
 
@@ -128,6 +138,28 @@ def time_pack(ns: list[int]) -> None:
                     print(json.dumps(row), flush=True)
     finally:
         matrixfn._low_block = rule
+        matrixfn._cycle_sums.cache_clear()
+
+
+def time_fold(ns: list[int]) -> None:
+    rule = matrixfn._FOLD
+    try:
+        for n in ns:
+            a = dense_matrix(n, 0)
+            for fold in (1, 2, 3, 4):
+                matrixfn._FOLD = fold
+
+                def cold():
+                    matrixfn._cycle_sums.cache_clear()
+                    fermionant(a, 2, "dp")
+
+                runs = 3 if n < 17 else 1
+                row = {"n": n, "fold": fold, "first_k_s": round(_best_of(runs, cold), 5),
+                       "further_k_s": round(_best_of(runs, lambda: fermionant(a, 3, "dp")), 5),
+                       "folded": len(matrixfn._cycle_sums(a)[2])}
+                print(json.dumps(row), flush=True)
+    finally:
+        matrixfn._FOLD = rule
         matrixfn._cycle_sums.cache_clear()
 
 
@@ -163,6 +195,8 @@ def main(argv: list[str]) -> None:
         time_levels(args or list(range(4, 11)))
     elif mode == "pack":
         time_pack(args or [12, 15, 17])
+    elif mode == "fold":
+        time_fold(args or [14, 16])
     elif mode == "dense":
         for n in args or [14, 16, 18, 20]:
             subprocess.run([sys.executable, __file__, "dense-one", str(n)], check=True)

@@ -35,9 +35,25 @@ so k = 1 recovers the determinant.  Three routes are provided:
                    ranked subset convolution in O(h^2 2^h) digit
                    operations, its values packed as fixed-width digits of B
                    bits, B the bit length of prod_i max(1, sum_j |A_ij|) *
-                   max(1, |k|)^n plus a sign bit.  Level 0 holds only the
-                   full set, so it is one sum over the cycles through
-                   vertex 0.
+                   max(1, |k|)^n plus a sign bit.  The leading run of
+                   levels 0, 1, ... too dense to list, at most three
+                   (``_FOLD``), is not peeled per k: a cover of the full set
+                   splits into the j cycles that meet those levels' vertices
+                   L, covering L | Z for some Z in the other vertices H, and
+                   a cover of H - Z, so Ferm_k is (-1)^n times the sum over
+                   j and Z of (-k)^j P_j[Z] F(H - Z), F(S) the cover sum of
+                   S and P_j[Z] that of the covers of L | Z by j cycles that
+                   each meet L.  The P_j are k-free, so they are built once
+                   per matrix beside the cycle sums, by ranked subset
+                   convolutions of the slices C[B | Z] over the set
+                   partitions of L into blocks B, at the digit width
+                   bits(R) + 1, R = prod_i max(1, sum_j |a_ij|), which
+                   bounds each P_j[Z] (a sum over distinct permutations of
+                   L | Z), each product masked to |H| + 1 digits (exact: the
+                   digit read, |Z| <= |H|, lies below the mask); each k then
+                   runs the levels above L and ends with |L| dot products.
+                   With one level folded that is the sum over the cycles
+                   through vertex 0; a listed level 0 is a sum over its list.
 * ``immanants`` -- the character expansion: sum over Young diagrams lam of n
                    with at most k rows of (semistandard tableau count of lam)
                    * (immanant of the transposed diagram), for integer k >= 1.
@@ -60,9 +76,11 @@ route is sequential and deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress, groupby
 from operator import add, lshift, mul, sub
 
 from .characters import character, schur_weyl_expand
@@ -280,6 +298,16 @@ def _list_cap(h: int) -> int:
     return 1 << h if h < _CONVOLVE_MIN_H else 3**h >> h
 
 
+def _row_bound(rows: Iterable[Sequence[int]]) -> int:
+    """prod_i max(1, sum_j |a_ij|) over the rows given: it bounds every sum
+    of products that take their entries from distinct rows, the digit
+    widths of the dp's packed integers."""
+    bound = 1
+    for row in rows:
+        bound *= max(1, sum(map(abs, row)))
+    return bound
+
+
 # A cycle-sum level with more than _PACK_BLOCK vertices above its lowest
 # vertex, whose block averages at least _PACK_MIN_DEGREE nonzeros a row,
 # carries its next _PACK_BLOCK vertices as packed digits: the crossover that
@@ -301,13 +329,16 @@ def _low_block(h: int, succ: list[int]) -> int:
 
 
 @lru_cache(maxsize=1)
-def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...] | None, ...]]:
-    """(C, walks).  C[S]: the weight sum of the single directed cycles with
-    vertex set exactly S that pass through min(S).  walks[m]: the sorted
-    tuple of nonzero (S, C[S]) with min(S) = m, or None when m has more of
-    them than ``_list_cap`` allows, so the cover phase takes that level as
-    one subset convolution (m > 0) or a sum streamed from C (m = 0).
-    Neither depends on k, so both are memoised on the last matrix and the dp
+def _cycle_sums(
+    a: Matrix,
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...] | None, ...], tuple[tuple[int, ...], ...]]:
+    """(C, walks, top).  C[S]: the weight sum of the single directed cycles
+    with vertex set exactly S that pass through min(S).  walks[m]: the
+    sorted tuple of nonzero (S, C[S]) with min(S) = m, or None when m has
+    more of them than ``_list_cap`` allows, so the cover phase folds that
+    level into the top or takes it as one subset convolution.  top: the
+    cover's folded top from C and walks, as ``_fold_top`` builds it.  None
+    depends on k, so all three are memoised on the last matrix and the dp
     pays for them once per matrix rather than once per k.
 
     For each lowest vertex m, weighted paths from m with interior above m
@@ -367,10 +398,7 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
         b = _low_block(h, succ)
         highs = (2 << h) - (2 << b)  # the bits above the low block 1..b
         if b:
-            bound = 1
-            for row in rows[m:]:
-                bound *= max(1, sum(map(abs, row[m:])))
-            width = bound.bit_length() + 1
+            width = _row_bound(row[m:] for row in rows[m:]).bit_length() + 1
             digit = (1 << width) - 1
             half = 1 << (width - 1)
             span = width << b
@@ -440,7 +468,8 @@ def _cycle_sums(a: Matrix) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int]
             layer = nxt
         if len(found) <= cap:
             walks[m] = tuple(sorted(found))
-    return tuple(C), tuple(walks)
+    C, walks = tuple(C), tuple(walks)
+    return C, walks, _fold_top(C, walks, rows)
 
 
 def _subset_sums(v: list[int], h: int, op) -> None:
@@ -462,10 +491,94 @@ def _subset_sums(v: list[int], h: int, op) -> None:
                 v[b + step:b + span] = map(op, v[b + step:b + span], v[b:b + step])
 
 
+# At most this many leading unlisted cover levels are folded into the dp's
+# per-matrix top: the choice that ``python3 scripts/dp_timings.py fold``
+# measures.  Each level folded halves each further k, but a fourth costs
+# the first k more than it saves (14 set partitions to convolve, not 4).
+_FOLD = 3
+
+
+@lru_cache(maxsize=None)
+def _set_partitions(f: int) -> tuple[tuple[int, ...], ...]:
+    """The set partitions of the vertices 0..f-1, each a tuple of block
+    bitmasks, in descending order of block count."""
+    parts: list[tuple[int, ...]] = [()]
+    for i in range(f):
+        bit = 1 << i
+        parts = [p[:t] + (p[t] | bit,) + p[t + 1:] for p in parts for t in range(len(p))] + [p + (bit,) for p in parts]
+    parts.sort(key=len, reverse=True)
+    return tuple(parts)
+
+
+def _fold_top(C: tuple[int, ...], walks: tuple, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """(P_1, ..., P_f), the folded top of the cover that
+    ``_fermionant_dp`` describes: f is the length of the leading run of
+    levels 0, 1, ... that ``_cycle_sums`` left unlisted, at most ``_FOLD``,
+    so the top is () when level 0 is listed.  With L = {0..f-1} and H the
+    other n - f vertices, P_j[Z] for Z within H sits at index Z >> f, and
+    P_j is the sum, over the set partitions of L into j blocks B, of the
+    subset convolution over H of the slices C_B[Z] = C[B | Z] = C[B::2^f].
+    So P_1 is the slice C[2^f - 1::2^f] itself, and for f = 3
+    P_2 = C_0 * C_12 + C_1 * C_02 + C_2 * C_01 and P_3 = C_0 * C_1 * C_2.
+
+    The products of one P_j are summed in the zeta domain and share one
+    Moebius transform.  A block's zeta transform is kept only while a later
+    product still needs it (for f = 3, the singletons' until their P_2
+    term), so the others are made and folded in one at a time.
+    """
+    n = len(rows)
+    f = 0
+    while f < min(_FOLD, n) and walks[f] is None:
+        f += 1
+    if not f:
+        return ()
+    step = 1 << f
+    top = [C[step - 1::step]]
+    parts = _set_partitions(f)[:-1]  # P_f down to P_2
+    if not parts:
+        return tuple(top)
+    h = n - f
+    width = _row_bound(rows).bit_length() + 1
+    digit = (1 << width) - 1
+    half = 1 << (width - 1)
+    keep = (1 << width * (h + 1)) - 1
+    shifts = [0]
+    for _ in range(h):
+        shifts += [s + width for s in shifts]
+    uses = Counter(block for blocks in parts for block in blocks)
+    kept: dict[int, list[int]] = {}
+
+    def times(x: int, y: int) -> int:
+        return x * y & keep
+
+    def product(blocks: tuple[int, ...]) -> Iterable[int]:
+        terms = None
+        for block in blocks:
+            v = kept.pop(block, None)
+            if v is None:
+                v = list(map(lshift, C[block::step], shifts))
+                _subset_sums(v, h, add)
+            uses[block] -= 1
+            if uses[block]:
+                kept[block] = v
+            terms = v if terms is None else map(times, terms, v)
+        return terms
+
+    for _, group in groupby(parts, len):
+        acc = list(product(next(group)))
+        for blocks in group:
+            acc = list(map(add, acc, product(blocks)))
+        _subset_sums(acc, h, sub)
+        top.insert(1, tuple([(v >> s & digit ^ half) - half for v, s in zip(acc, shifts)]))
+        del acc
+    return tuple(top)
+
+
 def _fermionant_dp(a: Matrix, k: int) -> int:
     """The dp route.  Sets are peeled one cycle at a time, the cycle through
-    their lowest vertex m, with levels m taken from n-1 down.  A level m > 0
-    is done in one of two ways, as ``_cycle_sums`` kept its cycles:
+    their lowest vertex m, with levels m taken from n-1 down.  A level
+    above the folded top (below) is done in one of two ways, as
+    ``_cycle_sums`` kept its cycles:
 
     * list walk -- where m has at most ``_list_cap(h)`` nonzero cycles, h
       the number of vertices above m, each set reads only the listed cycles
@@ -479,12 +592,6 @@ def _fermionant_dp(a: Matrix, k: int) -> int:
       zeta-transformed, multiplied pointwise and Moebius-transformed, and
       the answer at X is digit |X|, read as a signed residue mod 2^B.
 
-    Level 0 holds only the full set, so it is one sum, -k * sum of
-    C[T] * F[full ^ T] over the cycles T through vertex 0: over the kept
-    list, or else over every odd T at once, streamed from C: a dot product
-    of C's odd entries with F's even ones in reverse (full ^ T = full - T),
-    which copies neither.
-
     In the convolution, digit t at X sums the pairs (T, U) with T | U = X and
     |T| + |U| = t, so every digit below |X| is exactly 0 and digit |X| is
     the answer itself: only its size bounds B.  That answer, F[{m} | X]
@@ -492,35 +599,63 @@ def _fermionant_dp(a: Matrix, k: int) -> int:
     entries times (-k)^(cycles - 1), so its absolute value is at most
     prod_i max(1, sum_j |a_ij|) * max(1, |k|)^n; B is that bound's bit
     length plus 1, for the sign.
+
+    The cover is folded at the top.  Let f be the length of the leading run
+    of unlisted levels 0, 1, ..., at most ``_FOLD``, L = {0..f-1} and H the
+    other h = n - f vertices.  The cycles of a cover of the full set that
+    meet L cover L | Z for some Z within H, and the rest cover H - Z (the
+    split of a set-partition sum used by Bjorklund, Husfeldt and Koivisto,
+    "Set partitioning via inclusion-exclusion", SIAM J. Comput. 2009), so
+
+        F[full] = sum over j = 1..f of (-k)^j * sum over Z of P_j[Z] * F[H - Z]
+
+    with P_j[Z] the weight of the covers of L | Z by j cycles that each
+    meet L.  The P_j do not depend on k: ``_fold_top`` builds them once per
+    matrix, memoised with the cycle sums, so each k runs only the levels
+    from f up and then f dot products with the reversed slice
+    F[2^n - 2^f::-2^f], whose entry Z >> f is F[H - Z].  With f = 1 this is
+    the level-0 sum over every cycle through vertex 0, P_1 being C's odd
+    entries; where level 0 is listed (f = 0), it is a sum over the list.
+
+    P_j is built by the same ranked convolution, over H: for each set
+    partition of L into j blocks B, the product of the zeta transforms of
+    the slices C[B::2^f] (C[B | Z] at index Z >> f).  Each term of P_j[Z] is
+    a product of entries from the distinct rows of L | Z in distinct
+    columns, one permutation counted once, so |P_j[Z]| <= R =
+    prod_i max(1, sum_j |a_ij|), and the digit width is W = bits(R) + 1,
+    free of k.  Each pointwise product is masked to its low h + 1 digits
+    before the Moebius transform, which is exact: the transforms only add
+    and subtract, so every value stays congruent mod 2^(W(h+1)) to the
+    unmasked one, and the read of digit |Z| <= h at Z, with the digits below
+    it 0, sees only those low bits.
     """
     n = a.n
     if n > DP_MAX_N:
         raise CapacityError(f"dp fermionant limited to n <= {DP_MAX_N}, got {n}")
     if n == 0:
         return 1
-    C, walks = _cycle_sums(a)
+    C, walks, top = _cycle_sums(a)
     full = (1 << n) - 1
 
     # covers: peel off the cycle through the lowest vertex m of each set S,
     # so F[S] reads only sets whose lowest vertex is above m, which the
     # descending m finishes first.  Peeling the full set leaves only sets
     # without vertex 0, and peeling those leaves only their subsets, so the
-    # only set with vertex 0 ever read is the full set.
+    # only set with vertex 0 ever read is the full set.  Levels below
+    # `first` are folded into the top, or are level 0 alone, listed.
+    first = max(len(top), 1)
     negk = -k
     F = [0] * (full + 1)
     F[0] = 1
-    if None in walks[1:]:
-        bound = max(1, abs(k)) ** n
-        for row in a.rows:
-            bound *= max(1, sum(map(abs, row)))
-        width = bound.bit_length() + 1
+    if None in walks[first:]:
+        width = (max(1, abs(k)) ** n * _row_bound(a.rows)).bit_length() + 1
         digit = (1 << width) - 1
         half = 1 << (width - 1)
         # shifts[j] = width * |j|, for every level's 2^h indices at once
         shifts = [0]
-        for i in range(n - 1 - walks.index(None, 1)):
+        for i in range(n - 1 - walks.index(None, first)):
             shifts += [s + width for s in shifts]
-    for m in range(n - 1, 0, -1):
+    for m in range(n - 1, first - 1, -1):
         low = 1 << m
         walk = walks[m]
         if walk is None:
@@ -541,12 +676,12 @@ def _fermionant_dp(a: Matrix, k: int) -> int:
                     if cyc & S == cyc:
                         acc += c * F[S ^ cyc]
                 F[S] = negk * acc
-    walk = walks[0]
-    if walk is None:
-        acc = sum(map(mul, islice(C, 1, None, 2), islice(reversed(F), 1, None, 2)))
+    if top:
+        step = 1 << len(top)
+        rest = F[-step::-step]  # F[H - Z] at index Z >> f
+        value = sum(negk**j * sum(map(mul, p, rest)) for j, p in enumerate(top, 1))
     else:
-        acc = sum(c * F[full ^ cyc] for cyc, c in walk)
-    value = negk * acc
+        value = negk * sum(c * F[full ^ cyc] for cyc, c in walks[0])
     return -value if n % 2 else value
 
 

@@ -267,7 +267,7 @@ def test_class_sums_memo_is_not_shared_or_bypassed():
     assert cycle_type_weight_sums(a) == expected
 
 
-def test_dp_cycle_sums_are_memoised_per_matrix():
+def test_dp_cycle_sums_are_memoised_per_matrix(fold_tops):
     rng = random.Random(71)
     a, b = random_matrix(rng, 6), random_matrix(rng, 6)
     # a 6-cycle plus the 1-cycle at vertex 0: its vertices keep cycle lists
@@ -286,8 +286,8 @@ def test_dp_cycle_sums_are_memoised_per_matrix():
         for k in (1, 2, 3):
             assert fermionant(m, k, "dp") == expected[m, k]
         assert matrixfn._cycle_sums.cache_info().misses == misses + 1
-        sums, walks = matrixfn._cycle_sums(m)
-        assert isinstance(sums, tuple) and isinstance(walks, tuple)
+        sums, walks, top = matrixfn._cycle_sums(m)
+        assert isinstance(sums, tuple) and isinstance(walks, tuple) and top == ()
         assert all(w is None or isinstance(w, tuple) for w in walks)
     # the lists are part of the one memoised value, not a second memo
     six_cycle = math.prod(c.rows[i][(i + 1) % 6] for i in range(6))
@@ -295,6 +295,20 @@ def test_dp_cycle_sums_are_memoised_per_matrix():
     for k in (1, 2, 3):
         for m in (a, b, c):
             assert fermionant(m, k, "dp") == expected[m, k]
+    # a dense top: every k reads the one folded top, built with the cycle
+    # sums, so it too is part of the one memoised value
+    d = random_matrix(random.Random(72), 10, 1, 3)
+    rows = [list(r) for r in d.rows]
+    matrixfn._cycle_sums.cache_clear()
+    fold_tops.clear()
+    assert fermionant(d, -1, "dp") == permanent(d)
+    assert fermionant(d, 1, "dp") == determinant(d)
+    for k in (2, 3):
+        assert fermionant(d, k, "dp") == colouring_fermionant(rows, k)
+    assert len(fold_tops) == 1 and len(fold_tops[0]) == matrixfn._FOLD
+    top = matrixfn._cycle_sums(d)[2]
+    assert top is fold_tops[0]
+    assert isinstance(top, tuple) and all(isinstance(p, tuple) for p in top)
 
 
 def test_dp_walks_sparse_and_dense_cycle_lists_in_one_matrix():
@@ -310,7 +324,8 @@ def test_dp_walks_sparse_and_dense_cycle_lists_in_one_matrix():
         for j in range(3, n):
             rows[i][j] = rng.choice((1, -1, 2, -2, 3, -3))
     a = Matrix(tuple(tuple(r) for r in rows))
-    _, walks = matrixfn._cycle_sums(a)
+    _, walks, top = matrixfn._cycle_sums(a)
+    assert top == ()  # level 0 is listed
     assert len(walks[0]) == 3 and walks[1] == () and len(walks[2]) == 1
     assert all(isinstance(w, tuple) for w in walks[3:])
     for k in (-2, 0, 1, 2, 3):
@@ -343,19 +358,23 @@ def forced_level_cases():
     rng = random.Random(89)
     cases = [random_matrix(rng, n) for n in range(1, 7) for _ in range(3)]
     cases += [a for n in range(9) for a in sparse_matrices(rng, n)]
-    # diagonal with a unit first entry: at k = +-1 the one cover of vertices
-    # 1..6, peeled at level 1, reaches the dp's digit-width bound exactly
-    diagonal = (1, 2, -3, 3, -2, 3, 2)
-    cases.append(Matrix(tuple(tuple(d if i == j else 0 for j in range(7)) for i, d in enumerate(diagonal))))
+    # diagonal with unit entries at the vertices a forced convolution folds:
+    # at k = +-1 the one cover of the others, peeled at the first level
+    # above the fold, reaches the dp's digit-width bound exactly
+    fold = matrixfn._FOLD
+    diagonal = (1,) * fold + (2, -3, 3, -2, 3, 2, -2, 3)[: 8 - fold]
+    cases.append(Matrix(tuple(tuple(d if i == j else 0 for j in range(8)) for i, d in enumerate(diagonal))))
     return tuple((a, cycle_cover_fermionants_brute([list(r) for r in a.rows], FORCED_KS)) for a in cases)
 
 
 @pytest.fixture
 def force_level_kind(monkeypatch):
     """Make every cover level take one kind: "list" keeps every level's
-    cycles, level 0 included, so each level m > 0 is a list walk and level 0
-    sums the list; "convolve" keeps none, so every level m > 0 with a cycle
-    is a subset convolution and level 0 streams its sum from C."""
+    cycles, level 0 included, so each level m > 0 is a list walk, level 0
+    sums the list and nothing is folded; "convolve" keeps none, so the
+    leading levels with a cycle, up to ``_FOLD`` of them, are folded into
+    the per-matrix top and every level above them with a cycle is a subset
+    convolution."""
 
     def force(kind):
         rule = (lambda h: 0) if kind == "convolve" else (lambda h: 1 << h)
@@ -417,6 +436,30 @@ def packed_levels(monkeypatch):
     matrixfn._cycle_sums.cache_clear()
 
 
+@pytest.fixture
+def fold_tops(monkeypatch):
+    """The folded tops built since the fixture started, in order: a spy on
+    ``_fold_top``, which the cycle-sum search calls once per matrix."""
+    fold = matrixfn._fold_top
+    built = []
+
+    def spy(C, walks, rows):
+        built.append(fold(C, walks, rows))
+        return built[-1]
+
+    monkeypatch.setattr(matrixfn, "_fold_top", spy)
+    matrixfn._cycle_sums.cache_clear()
+    yield built
+    matrixfn._cycle_sums.cache_clear()
+
+
+def folded_levels(fold_tops, a):
+    """How many leading cover levels a fresh cycle-sum search of a folds."""
+    matrixfn._cycle_sums.cache_clear()
+    matrixfn._cycle_sums(a)
+    return len(fold_tops[-1])
+
+
 @pytest.mark.parametrize("kind", ["convolve", "list", *PACKED])
 def test_dp_forced_level_kind_matches_definition(force_level_kind, force_packing, kind):
     """Every cover level of one kind, or every cycle-sum level packed (with
@@ -425,19 +468,54 @@ def test_dp_forced_level_kind_matches_definition(force_level_kind, force_packing
         blocks = force_packing(kind)
     else:
         force_level_kind(kind)
-    unlisted = set()  # whether level 0, and a level m > 0, went unlisted
+    unlisted = set()  # whether a folded level, and one convolved per k, went unlisted
+    folds = set()  # the numbers of levels folded into the top
     for a, expected in forced_level_cases():
-        walks = matrixfn._cycle_sums(a)[1]
+        _, walks, top = matrixfn._cycle_sums(a)
+        folds.add(len(top))
         if kind == "list":
             assert all(isinstance(w, tuple) for w in walks), a
         elif kind == "convolve":
             assert not any(walks), a  # None, or () at a level with no cycle
-            unlisted |= {m > 0 for m, w in enumerate(walks) if w is None}
+            unlisted |= {m >= len(top) for m, w in enumerate(walks) if w is None}
         for k, value in expected.items():
             assert fermionant(a, k, "dp") == value, (a, k, kind)
     assert unlisted == ({False, True} if kind == "convolve" else set())
+    if kind == "convolve":
+        # the full fold at n >= _FOLD, and shorter ones at smaller n
+        assert {1, 2, matrixfn._FOLD} <= folds
+    elif kind == "list":
+        assert folds == {0}
     if kind in PACKED:
         assert max(blocks) == int(kind.removeprefix("pack"))
+
+
+def test_set_partitions_behind_the_folded_top():
+    for f, stirling in ((0, {0: 1}), (1, {1: 1}), (2, {2: 1, 1: 1}), (3, {3: 1, 2: 3, 1: 1}),
+                        (4, {4: 1, 3: 6, 2: 7, 1: 1})):
+        parts = matrixfn._set_partitions(f)
+        assert len(set(parts)) == len(parts)
+        assert {j: sum(len(p) == j for p in parts) for j in stirling} == stirling
+        assert [len(p) for p in parts] == sorted(map(len, parts), reverse=True)
+        for blocks in parts:
+            assert sum(blocks) == (1 << f) - 1 and functools.reduce(int.__or__, blocks, 0) == (1 << f) - 1
+
+
+def test_dp_fold_reads_a_top_value_at_its_width_bound(force_level_kind):
+    """Diagonal, n = 10, every level forced unlisted: the 1-cycles are the
+    one cover of the folded vertices, so the top is 0 but for P_f[{}], their
+    product, which the other entries, all +-1, make equal to the top's
+    width bound R = prod_i max(1, sum_j |a_ij|)."""
+    force_level_kind("convolve")
+    fold = matrixfn._FOLD
+    diagonal = (3, -3, 3, 3, -3, 3)[:fold] + tuple((-1) ** i for i in range(10 - fold))
+    a = Matrix(tuple(tuple(d if i == j else 0 for j in range(10)) for i, d in enumerate(diagonal)))
+    top = matrixfn._cycle_sums(a)[2]
+    assert len(top) == fold
+    assert top[-1][0] == math.prod(diagonal[:fold]) == -math.prod(map(abs, diagonal))
+    assert not any(top[-1][1:]) and not any(map(any, top[:-1]))
+    for k in (1, -1, 3, -3):
+        assert fermionant(a, k, "dp") == k**10 * math.prod(diagonal)
 
 
 def cycle_sums_cases():
@@ -475,7 +553,7 @@ def test_cycle_sums_match_cycle_enumeration(force_level_kind, force_packing, for
     cancelled = 0
     for a in cases:
         expected = cycle_sums_brute([list(r) for r in a.rows])
-        C, walks = matrixfn._cycle_sums(a)
+        C, walks, _ = matrixfn._cycle_sums(a)
         assert C == tuple(expected), a
         for m, walk in enumerate(walks):
             cycles = tuple((S, c) for S, c in enumerate(expected) if c and S & -S == 1 << m)
@@ -490,21 +568,27 @@ def test_cycle_sums_match_cycle_enumeration(force_level_kind, force_packing, for
         assert max(blocks) == int(forced.removeprefix("pack"))
 
 
-def three_kind_matrix(rng, n=13):
-    """Dense, except that vertex 3 reaches only itself and vertex 7, and is
-    reached only from them: vertex 3 has two cycles above it (a list walk),
-    the dense vertices 1, 2, 4, 5 and 6 have h = 6..11 above them (subset
-    convolutions), vertices 7 and up have h <= 5 (list walks), and vertex 0
-    has too many cycles to list (the sum streamed from C)."""
+def sparse_vertex_matrix(rng, n, v, partner):
+    """Dense, except that vertex v reaches only itself and its partner, and
+    is reached only from them: level v holds two cycles, so it is a list."""
     rows = [[rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(n)] for _ in range(n)]
     for j in range(n):
-        if j not in (3, 7):
-            rows[3][j] = 0
-            rows[j][3] = 0
+        if j not in (v, partner):
+            rows[v][j] = 0
+            rows[j][v] = 0
     return Matrix(tuple(map(tuple, rows)))
 
 
-def test_dp_matches_independent_oracles_at_n_10_to_13(packed_levels):
+def three_kind_matrix(rng):
+    """n = 13 with vertex 3 sparse, its partner vertex 7: vertex 3 has two
+    cycles above it (a list walk), the dense vertices 0, 1, 2, 4, 5 and 6
+    have h = 6..12 above them and too many cycles to list (0, 1 and 2
+    folded into the top, the others subset convolutions), and vertices 7
+    and up have h <= 5 (list walks)."""
+    return sparse_vertex_matrix(rng, 13, 3, 7)
+
+
+def test_dp_matches_independent_oracles_at_n_10_to_13(packed_levels, fold_tops):
     rng = random.Random(107)
     huge = Matrix(tuple(tuple(rng.randint(-10**6, 10**6) for _ in range(10)) for _ in range(10)))
     rows = [list(r) for r in random_matrix(rng, 11).rows]
@@ -517,17 +601,25 @@ def test_dp_matches_independent_oracles_at_n_10_to_13(packed_levels):
     walks = matrixfn._cycle_sums(three_kinds)[1]
     assert {0, 1, 2, 4, 5, 6} == {m for m, w in enumerate(walks) if w is None}
     assert len(walks[3]) == 2 and isinstance(walks[7], tuple)
+    dense = random_matrix(rng, 12)
+    # vertex 2 sparse: the leading run of unlisted levels stops at level 2
+    sparse_two = sparse_vertex_matrix(rng, 12, 2, 9)
+    walks = matrixfn._cycle_sums(sparse_two)[1]
+    assert walks[0] is None and walks[1] is None and len(walks[2]) == 2
+    fold = matrixfn._FOLD
     cases = [
-        (huge, (1, -1, 2, 3, 50, -50)),
-        (zero_row, (1, -1, 2, 3, 50, -50)),
-        (rank3, (1, -1, 2, 3)),
-        (random_matrix(rng, 12), (1, -1, 2, 3)),
-        (three_kinds, (1, -1, 2, 3)),
+        (huge, (1, -1, 2, 3, 50, -50), fold),
+        (zero_row, (1, -1, 2, 3, 50, -50), fold),
+        (rank3, (1, -1, 2, 3), fold),
+        (dense, (1, -1, 2, 3), fold),
+        (three_kinds, (1, -1, 2, 3), min(fold, 3)),
+        (sparse_two, (1, -1, 2, 3), 2),
     ]
-    for a, ks in cases:
+    for a, ks, folded in cases:
         n = a.n
         rows = [list(r) for r in a.rows]
         assert packed_levels(a), n  # dense enough to pack under the default rule
+        assert folded_levels(fold_tops, a) == folded, n
         for k in ks:
             if k == 1:
                 expected = determinant(a)

@@ -37,3 +37,17 @@ def test_dp_timings_pack_prints_one_json_line_per_matrix():
     for row in rows:
         assert 0 <= row["nonzeros_per_row"] <= 7
         assert isinstance(row["packed_s"], float) and isinstance(row["unpacked_s"], float)
+
+
+def test_dp_timings_fold_prints_one_json_line_per_fold():
+    # the fold mode patches matrixfn._FOLD, the most leading cover levels
+    # folded into the per-matrix top; at n = 9 only levels 0..2 are unlisted
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "dp_timings.py"), "fold", "9"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(row["n"], row["fold"]) for row in rows] == [(9, 1), (9, 2), (9, 3), (9, 4)]
+    assert [row["folded"] for row in rows] == [1, 2, 3, 3]
+    for row in rows:
+        assert isinstance(row["first_k_s"], float) and isinstance(row["further_k_s"], float)
