@@ -16,9 +16,10 @@ Matrix documents::
 
     {"n": 2, "entries": [[1, "-2"], [0, 3]]}
 
-Entries are integers, given as JSON numbers or as decimal strings; strings
-are mandatory once the magnitude exceeds 2^53 - 1 so that consumers limited
-to doubles never see a lossy number.
+Entries are integers, given as JSON numbers or as decimal strings (an
+optional "-" then ASCII digits, nothing else); strings are mandatory once
+the magnitude exceeds 2^53 - 1 so that consumers limited to doubles never
+see a lossy number.
 
 ``write_graph`` emits the canonical form: keys in the order shown above,
 compact separators, rotations rotated cyclically to start at their smallest
@@ -174,8 +175,11 @@ def read_matrix(text: str) -> Matrix:
         for j, value in enumerate(raw_row):
             where = f"field 'entries', row {i}, column {j}"
             if isinstance(value, str):
+                digits = value.removeprefix("-")
                 try:
-                    row.append(int(value, 10))
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError(value)
+                    row.append(int(value))
                 except ValueError:
                     raise FormatError(f"{where}: not a decimal integer: {value!r}") from None
             elif isinstance(value, bool) or isinstance(value, float):

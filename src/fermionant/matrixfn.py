@@ -9,51 +9,14 @@ so k = 1 recovers the determinant.  Three routes are provided:
 * ``brute``     -- the definition itself, read off the class sums w_mu
                    (n <= 9); the oracle for the others.
 * ``dp``        -- subset dynamic programming over directed cycle covers
-                   (n <= 20): first the weight sum C(S) of single cycles with
-                   vertex set exactly S through min(S), which does not depend
-                   on k and is memoised on the last matrix (a weighted
-                   Held-Karp path dp, each path extension one C-level dot
-                   product of a set's path sums with a column, tried only at
-                   the vertices its paths' ends reach; at a lowest vertex m
-                   with more than five vertices above it, whose rows and
-                   columns from m up hold at least 4.5 nonzeros a row, the
-                   2^5 sets that differ only in the next five vertices ride
-                   as signed digits of one integer per path end, W bits
-                   each, W the bit length of prod_i max(1, sum_j |A_ij|)
-                   over those rows and columns plus a sign bit); then covers
-                   combined one cycle at a time, each cycle weighted -k, over
-                   the sets without vertex 0 and the full set, the only sets
-                   peeling a cycle off the full set can leave.  A set peels
-                   the cycle through its lowest vertex m, and the 2^h sets
-                   lowest at m (h the number of vertices above m) form a
-                   level, done in one of two ways: where m has few nonzero
-                   cycles (any number while h < 6, the crossover measured
-                   on dense matrices; from h = 6 up, while count_m * 2^h <
-                   3^h) each set walks the list of those cycles, so sparse
-                   matrices such as medial line digraphs skip the O(3^n)
-                   work of a dense level; else the whole level is one
-                   ranked subset convolution in O(h^2 2^h) digit
-                   operations, its values packed as fixed-width digits of B
-                   bits, B the bit length of prod_i max(1, sum_j |A_ij|) *
-                   max(1, |k|)^n plus a sign bit.  The leading run of
-                   levels 0, 1, ... too dense to list, at most three
-                   (``_FOLD``), is not peeled per k: a cover of the full set
-                   splits into the j cycles that meet those levels' vertices
-                   L, covering L | Z for some Z in the other vertices H, and
-                   a cover of H - Z, so Ferm_k is (-1)^n times the sum over
-                   j and Z of (-k)^j P_j[Z] F(H - Z), F(S) the cover sum of
-                   S and P_j[Z] that of the covers of L | Z by j cycles that
-                   each meet L.  The P_j are k-free, so they are built once
-                   per matrix beside the cycle sums, by ranked subset
-                   convolutions of the slices C[B | Z] over the set
-                   partitions of L into blocks B, at the digit width
-                   bits(R) + 1, R = prod_i max(1, sum_j |a_ij|), which
-                   bounds each P_j[Z] (a sum over distinct permutations of
-                   L | Z), each product masked to |H| + 1 digits (exact: the
-                   digit read, |Z| <= |H|, lies below the mask); each k then
-                   runs the levels above L and ends with |L| dot products.
-                   With one level folded that is the sum over the cycles
-                   through vertex 0; a listed level 0 is a sum over its list.
+                   (n <= 20), in three phases: the weight sums of single
+                   cycles by vertex set (``_cycle_sums``) and from them the
+                   cycles through up to ``_FOLD`` dense lowest vertices,
+                   folded into a polynomial in -k (``_fold_top``), both
+                   k-free and memoised on the last matrix; then, per k, the
+                   cover levels above the fold, each a list walk over its
+                   cycles or one ranked subset convolution
+                   (``_fermionant_dp``).
 * ``immanants`` -- the character expansion: sum over Young diagrams lam of n
                    with at most k rows of (semistandard tableau count of lam)
                    * (immanant of the transposed diagram), for integer k >= 1.
@@ -80,8 +43,8 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, groupby
-from operator import add, lshift, mul, sub
+from itertools import compress, groupby, repeat
+from operator import add, and_, lshift, mul, sub
 
 from .characters import character, schur_weyl_expand
 from .errors import CapacityError
@@ -491,6 +454,33 @@ def _subset_sums(v: list[int], h: int, op) -> None:
                 v[b + step:b + span] = map(op, v[b + step:b + span], v[b:b + step])
 
 
+def _rank_zeta(values: Iterable[int], shifts: Sequence[int], h: int) -> list[int]:
+    """One factor of a ranked subset convolution over h bits (Bjorklund,
+    Husfeldt, Kaski and Koivisto, "Fourier meets Moebius", STOC 2007): the
+    value at X packed as digit |X|, value << shifts[X] with shifts[X] =
+    W * |X| for a digit width W, then zeta-transformed.  Digit t of the
+    pointwise product of two factors at X, once Moebius-transformed, sums
+    the products over the pairs (T, U) with T | U = X and |T| + |U| = t, so
+    every digit below |X| is 0 and digit |X| is the subset convolution
+    itself, summed over the disjoint pairs.  ``_rank_read`` reads it."""
+    v = list(map(lshift, values, shifts))
+    _subset_sums(v, h, add)
+    return v
+
+
+def _rank_read(v: list[int], shifts: Sequence[int], h: int, width: int, scale: int) -> list[int]:
+    """scale times the subset convolution at each X, from v, a pointwise
+    product of ``_rank_zeta`` factors, Moebius-transformed in place here:
+    digit |X| read as a signed residue mod 2^width.  The read is exact
+    whenever every convolution value lies in (-2^(width-1), 2^(width-1)):
+    the digits below |X| are 0, so they lend it nothing, and the digits
+    above it, which may hold anything, are masked off."""
+    _subset_sums(v, h, sub)
+    digit = (1 << width) - 1
+    half = 1 << (width - 1)
+    return [scale * ((x >> s & digit ^ half) - half) for x, s in zip(v, shifts)]
+
+
 # At most this many leading unlisted cover levels are folded into the dp's
 # per-matrix top: the choice that ``python3 scripts/dp_timings.py fold``
 # measures.  Each level folded halves each further k, but a fourth costs
@@ -515,16 +505,23 @@ def _fold_top(C: tuple[int, ...], walks: tuple, rows: tuple[tuple[int, ...], ...
     ``_fermionant_dp`` describes: f is the length of the leading run of
     levels 0, 1, ... that ``_cycle_sums`` left unlisted, at most ``_FOLD``,
     so the top is () when level 0 is listed.  With L = {0..f-1} and H the
-    other n - f vertices, P_j[Z] for Z within H sits at index Z >> f, and
-    P_j is the sum, over the set partitions of L into j blocks B, of the
-    subset convolution over H of the slices C_B[Z] = C[B | Z] = C[B::2^f].
-    So P_1 is the slice C[2^f - 1::2^f] itself, and for f = 3
+    other h = n - f vertices, P_j[Z] for Z within H sits at index Z >> f,
+    and P_j is the sum, over the set partitions of L into j blocks B, of
+    the ranked subset convolution over H of the slices C_B[Z] = C[B | Z] =
+    C[B::2^f].  So P_1 is the slice C[2^f - 1::2^f] itself, and for f = 3
     P_2 = C_0 * C_12 + C_1 * C_02 + C_2 * C_01 and P_3 = C_0 * C_1 * C_2.
 
-    The products of one P_j are summed in the zeta domain and share one
-    Moebius transform.  A block's zeta transform is kept only while a later
-    product still needs it (for f = 3, the singletons' until their P_2
-    term), so the others are made and folded in one at a time.
+    Each term of P_j[Z] is a product of entries from the distinct rows of
+    L | Z in distinct columns, one permutation counted once, so |P_j[Z]| <=
+    R = prod_i max(1, sum_j |a_ij|), and the digit width is W = bits(R) + 1,
+    free of k.  The products of one P_j are summed in the zeta domain and
+    share one Moebius transform.  Each pointwise product is masked to its
+    low h + 1 digits, which is exact: the transforms only add and subtract,
+    so every value stays congruent mod 2^(W(h+1)) to the unmasked one, and
+    the read of digit |Z| <= h sees only those low bits.  A block's zeta
+    transform is kept only while a later product still needs it (for
+    f = 3, the singletons' until their P_2 term), so the others are made
+    and folded in one at a time.
     """
     n = len(rows)
     f = 0
@@ -539,37 +536,28 @@ def _fold_top(C: tuple[int, ...], walks: tuple, rows: tuple[tuple[int, ...], ...
         return tuple(top)
     h = n - f
     width = _row_bound(rows).bit_length() + 1
-    digit = (1 << width) - 1
-    half = 1 << (width - 1)
     keep = (1 << width * (h + 1)) - 1
-    shifts = [0]
-    for _ in range(h):
-        shifts += [s + width for s in shifts]
+    shifts = [width * Z.bit_count() for Z in range(1 << h)]
     uses = Counter(block for blocks in parts for block in blocks)
     kept: dict[int, list[int]] = {}
-
-    def times(x: int, y: int) -> int:
-        return x * y & keep
 
     def product(blocks: tuple[int, ...]) -> Iterable[int]:
         terms = None
         for block in blocks:
             v = kept.pop(block, None)
             if v is None:
-                v = list(map(lshift, C[block::step], shifts))
-                _subset_sums(v, h, add)
+                v = _rank_zeta(C[block::step], shifts, h)
             uses[block] -= 1
             if uses[block]:
                 kept[block] = v
-            terms = v if terms is None else map(times, terms, v)
+            terms = v if terms is None else map(and_, map(mul, terms, v), repeat(keep))
         return terms
 
     for _, group in groupby(parts, len):
         acc = list(product(next(group)))
         for blocks in group:
             acc = list(map(add, acc, product(blocks)))
-        _subset_sums(acc, h, sub)
-        top.insert(1, tuple([(v >> s & digit ^ half) - half for v, s in zip(acc, shifts)]))
+        top.insert(1, tuple(_rank_read(acc, shifts, h, width, 1)))
         del acc
     return tuple(top)
 
@@ -584,21 +572,13 @@ def _fermionant_dp(a: Matrix, k: int) -> int:
       the number of vertices above m, each set reads only the listed cycles
       that fit in it;
     * subset convolution -- otherwise the 2^h values F[{m} | X] = -k * sum
-      over T within X of C[{m} | T] * F[X - T] form one subset convolution
-      of the strided slices C[2^m::2^(m+1)] and F[0::2^(m+1)], done as
-      Bjorklund, Husfeldt, Kaski and Koivisto's ranked convolution ("Fourier
-      meets Moebius", STOC 2007) in O(h^2 2^h) digit operations rather than
-      3^h: a value at X is packed as v << (B |X|), both vectors are
-      zeta-transformed, multiplied pointwise and Moebius-transformed, and
-      the answer at X is digit |X|, read as a signed residue mod 2^B.
-
-    In the convolution, digit t at X sums the pairs (T, U) with T | U = X and
-    |T| + |U| = t, so every digit below |X| is exactly 0 and digit |X| is
-    the answer itself: only its size bounds B.  That answer, F[{m} | X]
-    before the factor -k, sums over the cycle covers of {m} | X a product of
-    entries times (-k)^(cycles - 1), so its absolute value is at most
-    prod_i max(1, sum_j |a_ij|) * max(1, |k|)^n; B is that bound's bit
-    length plus 1, for the sign.
+      over T within X of C[{m} | T] * F[X - T] form one ranked subset
+      convolution (``_rank_zeta``) of the strided slices C[2^m::2^(m+1)]
+      and F[0::2^(m+1)], in O(h^2 2^h) digit operations rather than 3^h.
+      The sum is over the cycle covers of {m} | X of a product of entries
+      times (-k)^(cycles - 1), so its absolute value is at most
+      prod_i max(1, sum_j |a_ij|) * max(1, |k|)^n, and the digit width B is
+      that bound's bit length plus 1, for the sign.
 
     The cover is folded at the top.  Let f be the length of the leading run
     of unlisted levels 0, 1, ..., at most ``_FOLD``, L = {0..f-1} and H the
@@ -613,21 +593,8 @@ def _fermionant_dp(a: Matrix, k: int) -> int:
     meet L.  The P_j do not depend on k: ``_fold_top`` builds them once per
     matrix, memoised with the cycle sums, so each k runs only the levels
     from f up and then f dot products with the reversed slice
-    F[2^n - 2^f::-2^f], whose entry Z >> f is F[H - Z].  With f = 1 this is
-    the level-0 sum over every cycle through vertex 0, P_1 being C's odd
-    entries; where level 0 is listed (f = 0), it is a sum over the list.
-
-    P_j is built by the same ranked convolution, over H: for each set
-    partition of L into j blocks B, the product of the zeta transforms of
-    the slices C[B::2^f] (C[B | Z] at index Z >> f).  Each term of P_j[Z] is
-    a product of entries from the distinct rows of L | Z in distinct
-    columns, one permutation counted once, so |P_j[Z]| <= R =
-    prod_i max(1, sum_j |a_ij|), and the digit width is W = bits(R) + 1,
-    free of k.  Each pointwise product is masked to its low h + 1 digits
-    before the Moebius transform, which is exact: the transforms only add
-    and subtract, so every value stays congruent mod 2^(W(h+1)) to the
-    unmasked one, and the read of digit |Z| <= h at Z, with the digits below
-    it 0, sees only those low bits.
+    F[2^n - 2^f::-2^f], whose entry Z >> f is F[H - Z].  Where level 0 is
+    listed, f = 0 and the list walk's last level is level 0.
     """
     n = a.n
     if n > DP_MAX_N:
@@ -636,52 +603,42 @@ def _fermionant_dp(a: Matrix, k: int) -> int:
         return 1
     C, walks, top = _cycle_sums(a)
     full = (1 << n) - 1
+    f = len(top)
 
     # covers: peel off the cycle through the lowest vertex m of each set S,
     # so F[S] reads only sets whose lowest vertex is above m, which the
     # descending m finishes first.  Peeling the full set leaves only sets
     # without vertex 0, and peeling those leaves only their subsets, so the
-    # only set with vertex 0 ever read is the full set.  Levels below
-    # `first` are folded into the top, or are level 0 alone, listed.
-    first = max(len(top), 1)
+    # only set with vertex 0 ever read is the full set: level 0, when not
+    # folded, walks that set alone.
     negk = -k
     F = [0] * (full + 1)
     F[0] = 1
-    if None in walks[first:]:
+    if None in walks[f:]:
         width = (max(1, abs(k)) ** n * _row_bound(a.rows)).bit_length() + 1
-        digit = (1 << width) - 1
-        half = 1 << (width - 1)
-        # shifts[j] = width * |j|, for every level's 2^h indices at once
-        shifts = [0]
-        for i in range(n - 1 - walks.index(None, first)):
-            shifts += [s + width for s in shifts]
-    for m in range(n - 1, first - 1, -1):
+        # width * |X| for the largest level convolved, and every smaller one
+        shifts = [width * X.bit_count() for X in range(1 << (n - 1 - walks.index(None, f)))]
+    for m in range(n - 1, f - 1, -1):
         low = 1 << m
         walk = walks[m]
         if walk is None:
             h = n - 1 - m
             stride = low << 1
-            cz = list(map(lshift, C[low::stride], shifts))
-            fz = list(map(lshift, F[0::stride], shifts))
-            _subset_sums(cz, h, add)
-            _subset_sums(fz, h, add)
-            cz = list(map(mul, cz, fz))
-            del fz
-            _subset_sums(cz, h, sub)
-            F[low::stride] = [negk * ((v >> s & digit ^ half) - half) for v, s in zip(cz, shifts)]
+            cz = list(map(mul, _rank_zeta(C[low::stride], shifts, h), _rank_zeta(F[0::stride], shifts, h)))
+            F[low::stride] = _rank_read(cz, shifts, h, width, negk)
         elif walk:  # with no cycle lowest at m, every F[S] here stays 0
-            for S in range(low, full + 1, low << 1):
+            for S in range(low if m else full, full + 1, low << 1):
                 acc = 0
                 for cyc, c in walk:
                     if cyc & S == cyc:
                         acc += c * F[S ^ cyc]
                 F[S] = negk * acc
     if top:
-        step = 1 << len(top)
+        step = 1 << f
         rest = F[-step::-step]  # F[H - Z] at index Z >> f
         value = sum(negk**j * sum(map(mul, p, rest)) for j, p in enumerate(top, 1))
     else:
-        value = negk * sum(c * F[full ^ cyc] for cyc, c in walks[0])
+        value = F[full]
     return -value if n % 2 else value
 
 

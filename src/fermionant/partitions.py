@@ -53,15 +53,15 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        """Parse the comma-separated form used on the command line, e.g. "3,2,1"."""
+        """Parse the comma-separated form used on the command line, e.g.
+        "3,2,1": each part ASCII digits, with spaces around it allowed."""
         text = text.strip()
         if not text:
             return cls(())
-        try:
-            parts = tuple(int(t) for t in text.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse partition {text!r}") from None
-        return cls(parts)
+        tokens = [t.strip() for t in text.split(",")]
+        if not all(t.isascii() and t.isdigit() for t in tokens):
+            raise ValueError(f"cannot parse partition {text!r}")
+        return cls(tuple(map(int, tokens)))
 
 
 def transpose(lam: Partition) -> Partition:

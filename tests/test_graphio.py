@@ -93,6 +93,14 @@ def test_matrix_round_trip_with_big_entries():
     assert read_matrix(text).rows == m.rows
 
 
+@pytest.mark.parametrize("text", ["1_000", " 7 ", "+5", "\u0661\u0662"])
+def test_matrix_string_entries_are_an_optional_minus_and_ascii_digits(text):
+    # int() alone takes underscores, surrounding spaces, a plus sign and
+    # non-ASCII digits such as the Arabic-Indic ones
+    with pytest.raises(FormatError, match=r"row 0, column 1: not a decimal integer"):
+        read_matrix('{"n": 2, "entries": [[1, "%s"], [0, 1]]}' % text)
+
+
 def test_matrix_rejects_unsafe_numbers_and_floats():
     with pytest.raises(FormatError, match="decimal strings"):
         read_matrix('{"n": 1, "entries": [[9007199254740993]]}')

@@ -370,11 +370,10 @@ def forced_level_cases():
 @pytest.fixture
 def force_level_kind(monkeypatch):
     """Make every cover level take one kind: "list" keeps every level's
-    cycles, level 0 included, so each level m > 0 is a list walk, level 0
-    sums the list and nothing is folded; "convolve" keeps none, so the
-    leading levels with a cycle, up to ``_FOLD`` of them, are folded into
-    the per-matrix top and every level above them with a cycle is a subset
-    convolution."""
+    cycles, level 0 included, so each level is a list walk and nothing is
+    folded; "convolve" keeps none, so the leading levels with a cycle, up to
+    ``_FOLD`` of them, are folded into the per-matrix top and every level
+    above them with a cycle is a subset convolution."""
 
     def force(kind):
         rule = (lambda h: 0) if kind == "convolve" else (lambda h: 1 << h)

@@ -51,6 +51,13 @@ def test_partition_text_round_trip():
     assert str(p) == "3,2,1"
     assert Partition.from_text("3,2,1") == p
     assert Partition.from_text("") == Partition(())
+    assert Partition.from_text(" 3 , 2,1 ") == p
+
+
+@pytest.mark.parametrize("text", ["+3", "1_0", "\u0661", "3,\u0662", "-3"])
+def test_partition_text_parts_are_ascii_digits(text):
+    with pytest.raises(ValueError, match="cannot parse partition"):
+        Partition.from_text(text)
 
 
 def test_enumeration_examples():

@@ -51,3 +51,29 @@ def test_dp_timings_fold_prints_one_json_line_per_fold():
     assert [row["folded"] for row in rows] == [1, 2, 3, 3]
     for row in rows:
         assert isinstance(row["first_k_s"], float) and isinstance(row["further_k_s"], float)
+
+
+def test_dp_timings_dense_prints_both_phases_and_each_k():
+    # the dense mode reads matrixfn._cycle_sums to time the k-free phase
+    # apart from the cover, in a fresh process per n
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "dp_timings.py"), "dense", "8"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [row["n"] for row in rows] == [8]
+    for key in ("cycle_sums_s", "cover_s", "k=3_s", "k=-1_s", "k=1_s", "peak_rss_mb"):
+        assert isinstance(rows[0][key], float), key
+
+
+def test_dp_timings_medial_prints_one_json_line_per_edge_count():
+    # the medial mode reads matrixfn._cycle_sums on line digraphs of medial
+    # graphs, two nonzeros a row
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "dp_timings.py"), "medial", "4"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(row["edges"], row["n"], row["graphs"]) for row in rows] == [(4, 8, 20)]
+    for name in ("cycle_sums", "cover"):
+        assert 0 <= rows[0][f"{name}_median_s"] <= rows[0][f"{name}_max_s"]
