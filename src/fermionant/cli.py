@@ -3,7 +3,8 @@
 Structured results go to stdout as JSON (one document per run); a short
 human-readable summary goes to stderr.  Values that can outgrow a double
 (fermionants, immanants, polynomial coefficients, Tutte evaluations, cycle
-counts) are serialized as decimal strings.
+counts) are serialized as decimal strings; fermionants, immanants, Tutte
+evaluations and cycle counts print exactly at any length.
 
 Exit status: 0 on success, 1 on an internal-consistency failure (a bug,
 not bad input), 2 on input or parse errors, 3 on capacity errors, 4 when
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import CapacityError, ConsistencyError, FormatError
-from .graphio import read_graph, read_matrix, write_graph
+from .graphio import _decimal_text, read_graph, read_matrix, write_graph
 from .graphpoly import circuit_partition_poly, tutte, tutte_subgraph_sum
 from .graphs import Digraph, Multigraph, PlaneGraph
 from .hamilton import count_hamiltonian_cycles, ham_parity_via_ferm2
@@ -64,9 +65,9 @@ def _emit(payload: dict[str, Any], summary: str) -> None:
 
 def _cmd_ferm(args: argparse.Namespace) -> int:
     matrix = read_matrix(_read_text(args.matrix))
-    value = fermionant(matrix, args.k, args.algorithm)
+    value = _decimal_text(fermionant(matrix, args.k, args.algorithm))
     _emit(
-        {"n": matrix.n, "k": args.k, "algorithm": args.algorithm, "fermionant": str(value)},
+        {"n": matrix.n, "k": args.k, "algorithm": args.algorithm, "fermionant": value},
         f"Ferm_{args.k} of {matrix.n}x{matrix.n} matrix ({args.algorithm}) = {value}",
     )
     return 0
@@ -75,9 +76,9 @@ def _cmd_ferm(args: argparse.Namespace) -> int:
 def _cmd_imm(args: argparse.Namespace) -> int:
     matrix = read_matrix(_read_text(args.matrix))
     shape = Partition.from_text(args.shape)
-    value = immanant(matrix, shape)
+    value = _decimal_text(immanant(matrix, shape))
     _emit(
-        {"n": matrix.n, "shape": list(shape.parts), "immanant": str(value)},
+        {"n": matrix.n, "shape": list(shape.parts), "immanant": value},
         f"Imm_[{shape}] of {matrix.n}x{matrix.n} matrix = {value}",
     )
     return 0
@@ -99,9 +100,10 @@ def _cmd_tutte(args: argparse.Namespace) -> int:
             x, y = int(x_text), int(y_text)
         except ValueError:
             raise FormatError(f"--at expects two integers 'X,Y', got {args.at!r}") from None
+        value = _decimal_text(poly(x, y))
         payload["at"] = [x, y]
-        payload["value"] = str(poly(x, y))
-        summary += f"; T({x},{y}) = {poly(x, y)}"
+        payload["value"] = value
+        summary += f"; T({x},{y}) = {value}"
     _emit(payload, summary)
     return 0
 
@@ -147,8 +149,8 @@ def _cmd_bicycle_dim(args: argparse.Namespace) -> int:
 
 def _cmd_ham_count(args: argparse.Namespace) -> int:
     graph = _load_multigraph(args.graph)
-    count = count_hamiltonian_cycles(graph)
-    _emit({"count": str(count)}, f"hamiltonian cycles: {count}")
+    count = _decimal_text(count_hamiltonian_cycles(graph))
+    _emit({"count": count}, f"hamiltonian cycles: {count}")
     return 0
 
 

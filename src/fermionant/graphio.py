@@ -19,7 +19,8 @@ Matrix documents::
 Entries are integers, given as JSON numbers or as decimal strings (an
 optional "-" then ASCII digits, nothing else); strings are mandatory once
 the magnitude exceeds 2^53 - 1 so that consumers limited to doubles never
-see a lossy number.
+see a lossy number.  Integers of any length are read and written exactly,
+past ``sys.get_int_max_str_digits()``.
 
 ``write_graph`` emits the canonical form: keys in the order shown above,
 compact separators, rotations rotated cyclically to start at their smallest
@@ -50,6 +51,23 @@ def _load_json(text: str, what: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+
+
+# Integers cross this boundary as text through decimal.Decimal, exact at any
+# length, where int() and str() stop at sys.get_int_max_str_digits() digits.
+# It is imported on first use: importing it adds about 0.5 MB to a process.
+
+
+def _decimal_text(value: int) -> str:
+    from decimal import Decimal
+
+    return str(Decimal(value))
+
+
+def _decimal_int(text: str) -> int:
+    from decimal import Decimal
+
+    return int(Decimal(text))
 
 
 def _require_int(value: Any, where: str) -> int:
@@ -176,12 +194,9 @@ def read_matrix(text: str) -> Matrix:
             where = f"field 'entries', row {i}, column {j}"
             if isinstance(value, str):
                 digits = value.removeprefix("-")
-                try:
-                    if not (digits.isascii() and digits.isdigit()):
-                        raise ValueError(value)
-                    row.append(int(value))
-                except ValueError:
-                    raise FormatError(f"{where}: not a decimal integer: {value!r}") from None
+                if not (digits.isascii() and digits.isdigit()):
+                    raise FormatError(f"{where}: not a decimal integer: {value!r}")
+                row.append(_decimal_int(value))
             elif isinstance(value, bool) or isinstance(value, float):
                 raise FormatError(f"{where}: expected an integer, got {value!r}")
             elif isinstance(value, int):
@@ -200,7 +215,8 @@ def write_matrix(matrix: Matrix) -> str:
     """Serialize a matrix; entries above 2^53 - 1 in magnitude become
     decimal strings."""
     entries: list[list[int | str]] = [
-        [v if abs(v) <= _SAFE_JSON_INT else str(v) for v in row] for row in matrix.rows
+        [v if abs(v) <= _SAFE_JSON_INT else _decimal_text(v) for v in row]
+        for row in matrix.rows
     ]
     doc = {"n": matrix.n, "entries": entries}
     return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -7,7 +7,7 @@ The fermionant with parameter k of an n x n matrix A is
 so k = 1 recovers the determinant.  Three routes are provided:
 
 * ``brute``     -- the definition itself, read off the class sums w_mu
-                   (n <= 9); the oracle for the others.
+                   (n <= 10); the oracle for the others.
 * ``dp``        -- subset dynamic programming over directed cycle covers
                    (n <= 20), in three phases: the weight sums of single
                    cycles by vertex set (``_cycle_sums``) and from them the
@@ -51,7 +51,7 @@ from .errors import CapacityError
 from .partitions import Partition, transpose
 from .polynomials import UniPolynomial
 
-BRUTE_MAX_N = 9
+BRUTE_MAX_N = 10
 DP_MAX_N = 20
 PERMANENT_MAX_N = 20
 

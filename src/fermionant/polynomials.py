@@ -2,14 +2,16 @@
 
 UniPolynomial stores coefficients by ascending degree with no trailing
 zeros; the zero polynomial has an empty coefficient tuple and degree -1
-(sentinel).  BivarPolynomial stores a map from (x_degree, y_degree) to a
-nonzero coefficient.  Equality is coefficient-wise and exact.
+(sentinel).  BivarPolynomial stores a read-only map from (x_degree, y_degree)
+to a nonzero coefficient.  Both are hashable; equality is coefficient-wise
+and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 
 def _power(var: str, e: int) -> str:
@@ -107,12 +109,17 @@ class UniPolynomial:
 
 @dataclass(frozen=True)
 class BivarPolynomial:
-    coeffs: dict[tuple[int, int], int] = field(default_factory=dict)
+    coeffs: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", {k: v for k, v in self.coeffs.items() if v != 0}
-        )
+        nonzero = {k: v for k, v in self.coeffs.items() if v != 0}
+        object.__setattr__(self, "coeffs", MappingProxyType(nonzero))
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
+    def __reduce__(self):
+        return BivarPolynomial, (dict(self.coeffs),)  # a mappingproxy does not pickle
 
     @classmethod
     def zero(cls) -> "BivarPolynomial":
@@ -126,7 +133,7 @@ class BivarPolynomial:
         return self.coeffs.get((x_deg, y_deg), 0)
 
     def __add__(self, other: "BivarPolynomial") -> "BivarPolynomial":
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()  # the dict's own copy; dict(proxy) is the slow generic path
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
         return BivarPolynomial(out)

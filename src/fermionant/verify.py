@@ -19,8 +19,8 @@ generated in a fixed order from derived seeds, and reports serialize
 byte-identically across runs (wall times appear only in the human summary,
 never in the JSON payload).  Any violation is recorded as the family's first
 counterexample with its instance and both sides serialized; it is never
-skipped.  A check that raises is a violation of its own instance, and the
-family goes on with the next one.
+skipped, and no other instance is serialized.  A check that raises is a
+violation of its own instance, and the family goes on with the next one.
 """
 
 from __future__ import annotations
@@ -144,8 +144,9 @@ def _random_simple_graph(rng: random.Random, n: int, p: float) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
-# A family yields (instance, check) pairs; check() computes the two sides.
-_Checks = Iterator[tuple[dict[str, Any], Callable[[], tuple[Any, Any]]]]
+# A family yields (describe, check) pairs: check() computes the two sides, and
+# describe() builds the instance document, only for the first counterexample.
+_Checks = Iterator[tuple[Callable[[], dict[str, Any]], Callable[[], tuple[Any, Any]]]]
 
 
 def _run_family(name: str, checks: _Checks) -> IdentityResult:
@@ -155,7 +156,7 @@ def _run_family(name: str, checks: _Checks) -> IdentityResult:
     instances = 0
     passes = 0
     counterexample = None
-    for instance, check in checks:
+    for describe, check in checks:
         instances += 1
         try:
             lhs, rhs = check()
@@ -164,20 +165,15 @@ def _run_family(name: str, checks: _Checks) -> IdentityResult:
         if lhs == rhs:
             passes += 1
         elif counterexample is None:
-            counterexample = Counterexample(instance, str(lhs), str(rhs))
+            counterexample = Counterexample(describe(), str(lhs), str(rhs))
     return IdentityResult(name, instances, passes, counterexample, time.perf_counter() - start)
 
 
-def _matrix_instance(a: Matrix, **extra: Any) -> dict[str, Any]:
-    doc: dict[str, Any] = {"matrix": write_matrix(a).strip()}
-    doc.update(extra)
-    return doc
-
-
-def _graph_instance(g: Any, **extra: Any) -> dict[str, Any]:
-    doc: dict[str, Any] = {"graph": write_graph(g).strip()}
-    doc.update(extra)
-    return doc
+def _describe(obj: Any, **extra: Any) -> dict[str, Any]:
+    """A matrix or graph document of the instance, then the extras."""
+    if isinstance(obj, Matrix):
+        return {"matrix": write_matrix(obj).strip(), **extra}
+    return {"graph": write_graph(obj).strip(), **extra}
 
 
 # Work shared by the checks of several instances (one per k) is wrapped in
@@ -191,7 +187,7 @@ def _i1_determinant(seed: int, limits: Limits) -> _Checks:
         for t in range(limits.trials):
             rng = random.Random(_child_seed(seed, 1, n * 100_000 + t))
             a = _random_matrix(rng, n)
-            yield _matrix_instance(a, n=n), lambda a=a: (fermionant(a, 1, "dp"), determinant(a))
+            yield partial(_describe, a, n=n), lambda a=a: (fermionant(a, 1, "dp"), determinant(a))
 
 
 def _i2_agreement(seed: int, limits: Limits) -> _Checks:
@@ -205,9 +201,9 @@ def _i2_agreement(seed: int, limits: Limits) -> _Checks:
                     brute = fermionant(a, k, "brute")
                     dp = fermionant(a, k, "dp")
                     imm = fermionant_via_immanants(a, k)
-                    return str(brute), str(dp) if dp == imm else f"dp={dp} immanants={imm}"
+                    return brute, dp if dp == imm else f"dp={dp} immanants={imm}"
 
-                yield _matrix_instance(a, n=n, k=k), check
+                yield partial(_describe, a, n=n, k=k), check
 
 
 def _i3_schur_weyl(seed: int, limits: Limits) -> _Checks:
@@ -220,7 +216,7 @@ def _i3_schur_weyl(seed: int, limits: Limits) -> _Checks:
                     total = sum(d * character(lam, mu) for lam, d in expansion().items())
                     return total, k**mu.depth
 
-                yield {"n": n, "k": k, "cycle_type": str(mu)}, check
+                yield lambda n=n, k=k, mu=mu: {"n": n, "k": k, "cycle_type": str(mu)}, check
 
 
 def _plane_instances(seed: int, family: int, count: int, max_edges: int):
@@ -232,7 +228,7 @@ def _i4_martin(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]
     small = exhaustive_plane_graphs(min(5, limits.max_edges))
     randoms = _plane_instances(seed, 4, 2 * limits.trials, limits.max_edges)
     for g in list(small) + list(randoms):
-        yield _graph_instance(g), lambda g=g: (circuit_partition_poly(medial_fn(g)), martin_rhs(g))
+        yield partial(_describe, g), lambda g=g: (circuit_partition_poly(medial_fn(g)), martin_rhs(g))
 
 
 def _line_digraph_sides(h: Digraph) -> tuple[UniPolynomial, Matrix]:
@@ -251,7 +247,7 @@ def _i5_line_digraph(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph]
                 j, a_e = sides()
                 return fermionant(a_e, k, "dp"), sign * j(-k)
 
-            yield _graph_instance(h, k=k), check
+            yield partial(_describe, h, k=k), check
     # medial instances: even arc count makes the sign vacuous
     for i in range(limits.trials):
         g = generate_plane_graph(_child_seed(seed, 55, i), min(4, limits.max_edges))
@@ -262,7 +258,7 @@ def _i5_line_digraph(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph]
                 j, a_e = sides()
                 return (fermionant(a_e, k, "dp"), a_e.n % 2 == 0), (j(-k), True)
 
-            yield _graph_instance(g, k=k, medial=True), check
+            yield partial(_describe, g, k=k, medial=True), check
 
 
 def _i6_headline(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
@@ -276,7 +272,7 @@ def _i6_headline(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], An
                 c, _ = connected_components(g.graph)
                 return fermionant(a_me(), k, "dp"), (-k) ** c * tutte_diagonal(g.graph, 1 - k)
 
-            yield _graph_instance(g, k=k), check
+            yield partial(_describe, g, k=k), check
 
 
 def _i7_parity(seed: int, limits: Limits) -> _Checks:
@@ -291,7 +287,7 @@ def _i7_parity(seed: int, limits: Limits) -> _Checks:
             f = fermionant(adjacency_matrix(g), 2, "dp")
             return (f % 4, (f // 4) % 2), (0, count_hamiltonian_cycles(g) % 2)
 
-        yield _graph_instance(g, n=n, p=p), check
+        yield partial(_describe, g, n=n, p=p), check
 
 
 def _i8_bicycle(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
@@ -304,7 +300,7 @@ def _i8_bicycle(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any
             rhs = (-1) ** graph.num_edges * (-2) ** bicycle_dimension(graph)
             return tutte(graph)(-1, -1), rhs
 
-        yield _graph_instance(graph), check
+        yield partial(_describe, graph), check
     plane_small = exhaustive_plane_graphs(min(3, limits.max_edges))
     plane_randoms = list(_plane_instances(seed, 88, limits.trials, min(5, limits.max_edges)))
     for g in plane_small + plane_randoms:
@@ -313,7 +309,7 @@ def _i8_bicycle(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any
             lhs = fermionant(adjacency_matrix(line_digraph(medial_fn(g))), 2, "dp")
             return lhs, ferm2_medial_closed_form(g)
 
-        yield _graph_instance(g, closed_form=True), check
+        yield partial(_describe, g, closed_form=True), check
 
 
 def verify_suite(

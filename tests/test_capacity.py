@@ -39,17 +39,17 @@ def banana(m: int) -> Multigraph:
     return Multigraph(2, ((0, 1),) * m)
 
 
-# One past each bound: brute (class sums) n <= 9, dp and permanent n <= 20,
+# One past each bound: brute (class sums) n <= 10, dp and permanent n <= 20,
 # Hamiltonian counting n <= 18, deletion-contraction 14 edges, subgraph sum
 # 16 edges, transition systems 10^7.  Hamiltonian parity's early dp check is
 # tested in test_hamilton.py, where the matrix build is made to fail.
-BRUTE_PAST = Matrix.identity(10)
+BRUTE_PAST = Matrix.identity(11)
 
 PAST_THE_BOUND = {
     "dp": lambda: fermionant(Matrix.identity(21), 2, "dp"),
     "brute": lambda: fermionant(BRUTE_PAST, 2, "brute"),
     "immanants": lambda: fermionant_via_immanants(BRUTE_PAST, 2),
-    "immanant": lambda: immanant(BRUTE_PAST, Partition((10,))),
+    "immanant": lambda: immanant(BRUTE_PAST, Partition((11,))),
     "cycle-poly": lambda: fermionant_cycle_poly(BRUTE_PAST),
     "class-sums": lambda: cycle_type_weight_sums(BRUTE_PAST),
     "permanent": lambda: permanent(Matrix.identity(21)),

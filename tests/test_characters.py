@@ -81,3 +81,17 @@ def test_schur_weyl_identity():
             for mu in all_partitions(n):
                 total = sum(d * character(lam, mu) for lam, d in expansion.items())
                 assert total == k ** mu.depth, (n, k, mu)
+
+
+# Every argument check of the expansion: a call and the fragment of its message.
+REJECTIONS = {
+    "n-zero": (lambda: schur_weyl_expand(0, 2), "n must be positive"),
+    "k-zero": (lambda: schur_weyl_expand(3, 0), "k must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_every_argument_rejection(case):
+    call, fragment = REJECTIONS[case]
+    with pytest.raises(ValueError, match=fragment):
+        call()

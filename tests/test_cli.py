@@ -70,6 +70,24 @@ def test_tutte_subcommand(capsys, tmp_path, triangle_file):
     assert code == 2
 
 
+def test_values_past_the_int_string_limit_print_exactly(capsys, tmp_path, triangle_file):
+    # x = 10^2199 + 3: det diag(x, x) = x^2 = 10^4398 + 6 * 10^2199 + 9, and the
+    # triangle's T(x, -12) = x^2 + x - 12 = 10^4398 + 7 * 10^2199, 4399 digits
+    x = "1" + "0" * 2198 + "3"
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 2, "entries": [["%s", 0], [0, "%s"]]}' % (x, x), encoding="utf-8")
+    det = "1" + "0" * 2198 + "6" + "0" * 2198 + "9"
+    code, out, err = run(capsys, ["ferm", "--matrix", str(path), "--k", "1"])
+    assert code == 0
+    assert json.loads(out)["fermionant"] == det
+    assert err.endswith(f" = {det}\n")
+    code, out, err = run(capsys, ["imm", "--matrix", str(path), "--shape", "1,1"])
+    assert code == 0 and json.loads(out)["immanant"] == det and det in err
+    value = "1" + "0" * 2198 + "7" + "0" * 2199
+    code, out, err = run(capsys, ["tutte", "--graph", triangle_file, f"--at={x},-12"])
+    assert code == 0 and json.loads(out)["value"] == value and value in err
+
+
 def test_circuit_poly_subcommand(capsys, tmp_path):
     good = tmp_path / "d.json"
     good.write_text(write_graph(Digraph(1, ((0, 0), (0, 0)))), encoding="utf-8")
@@ -223,7 +241,7 @@ def test_verify_subcommand_deterministic(capsys):
 def test_verify_capacity_exits_3_before_any_family(capsys, monkeypatch):
     families = []
     monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
-    for limit in (["--max-n", "10"], ["--max-edges", "15"]):
+    for limit in (["--max-n", "11"], ["--max-edges", "15"]):
         code, out, err = run(capsys, ["verify", "--seed", "1", *limit])
         assert code == 3
         assert out == ""

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 
+import pytest
+
 from fermionant import (
     connected_components,
     disjoint_union,
@@ -128,3 +130,17 @@ def test_generator_output_is_pinned():
         for max_edges in (4, 7, 10, 14):
             h.update(write_graph(generate_plane_graph(seed, max_edges)).encode())
     assert h.hexdigest() == "3ba761d9af25e3a204614ab8a98b6f055cd7e1b551359d3436b1914acf4d11af"
+
+
+# Every argument check of the generators: a call and the fragment of its message.
+REJECTIONS = {
+    "plane-max-edges": (lambda: generate_plane_graph(1, 0), "max_edges must be at least 1"),
+    "eulerian-max-arcs": (lambda: generate_eulerian_digraph(1, 0), "max_arcs must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_every_argument_rejection(case):
+    call, fragment = REJECTIONS[case]
+    with pytest.raises(ValueError, match=fragment):
+        call()

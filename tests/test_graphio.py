@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
 
 from fermionant import (
@@ -112,3 +115,104 @@ def test_matrix_rejects_unsafe_numbers_and_floats():
         read_matrix('{"n": 1, "entries": [[1]], "note": "hi"}')
     with pytest.raises(FormatError, match="expected 2 rows"):
         read_matrix('{"n": 2, "entries": [[1, 2]]}')
+
+
+def _plane(rotations: str) -> str:
+    return (
+        '{"kind": "plane", "num_vertices": 2, "edges": [[0, 1]], "rotations": %s}' % rotations
+    )
+
+
+# Every boundary rejection of the readers: a document and the positional
+# fragment of its message.
+REJECTIONS = {
+    "graph-not-object": (read_graph, "[1, 2]", "graph document: expected a JSON object"),
+    "num-vertices-not-int": (
+        read_graph,
+        '{"kind": "digraph", "num_vertices": true, "edges": []}',
+        "field 'num_vertices': expected an integer, got True",
+    ),
+    "num-vertices-negative": (
+        read_graph,
+        '{"kind": "multigraph", "num_vertices": -1, "edges": []}',
+        "field 'num_vertices': must be nonnegative",
+    ),
+    "edges-not-array": (
+        read_graph,
+        '{"kind": "digraph", "num_vertices": 2, "edges": {"0": [0, 1]}}',
+        "field 'edges': expected an array",
+    ),
+    "edge-not-pair": (
+        read_graph,
+        '{"kind": "digraph", "num_vertices": 2, "edges": [[0, 1], [0, 1, 1]]}',
+        "field 'edges', entry 1: expected a pair [u, v]",
+    ),
+    "endpoint-not-int": (
+        read_graph,
+        '{"kind": "multigraph", "num_vertices": 2, "edges": [[0, "1"]]}',
+        "field 'edges', entry 0: expected an integer, got '1'",
+    ),
+    "rotations-count": (
+        read_graph,
+        _plane("[[[0, 0]]]"),
+        "field 'rotations': expected 2 arrays, one per vertex",
+    ),
+    "rotation-not-array": (
+        read_graph,
+        _plane("[[[0, 0]], 0]"),
+        "field 'rotations', vertex 1: expected an array",
+    ),
+    "rotation-item-not-pair": (
+        read_graph,
+        _plane("[[[0]], [[0, 1]]]"),
+        "field 'rotations', vertex 0: expected pairs [edge_id, end]",
+    ),
+    "rotation-edge-unknown": (
+        read_graph,
+        _plane("[[[0, 0]], [[1, 1]]]"),
+        "field 'rotations', vertex 1: unknown edge id 1",
+    ),
+    "rotation-end-not-0-or-1": (
+        read_graph,
+        _plane("[[[0, 2]], [[0, 1]]]"),
+        "field 'rotations', vertex 0: end must be 0 or 1, got 2",
+    ),
+    "matrix-not-object": (read_matrix, "[[1]]", "matrix document: expected a JSON object"),
+    "matrix-missing-entries": (
+        read_matrix,
+        '{"n": 1}',
+        "matrix document: fields 'n' and 'entries' are required",
+    ),
+    "matrix-n-negative": (
+        read_matrix,
+        '{"n": -1, "entries": []}',
+        "field 'n': must be nonnegative",
+    ),
+    "matrix-short-row": (
+        read_matrix,
+        '{"n": 2, "entries": [[1, 2], [3]]}',
+        "field 'entries', row 1: expected 2 values",
+    ),
+    "matrix-entry-not-int": (
+        read_matrix,
+        '{"n": 2, "entries": [[1, 2], [3, null]]}',
+        "field 'entries', row 1, column 1: expected an integer, got None",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_every_reader_rejection_is_positional(case):
+    reader, text, fragment = REJECTIONS[case]
+    with pytest.raises(FormatError, match=re.escape(fragment)):
+        reader(text)
+
+
+def test_entries_past_the_int_string_limit_round_trip():
+    assert sys.get_int_max_str_digits() < 5000
+    big, digits = 10**4999 + 12345, "1" + "0" * 4994 + "12345"
+    m = read_matrix('{"n": 2, "entries": [["%s", 1], [0, "-%s"]]}' % (digits, digits))
+    assert m.rows == ((big, 1), (0, -big))
+    text = write_matrix(m)
+    assert text == '{"n":2,"entries":[["%s",1],[0,"-%s"]]}\n' % (digits, digits)
+    assert read_matrix(text) == m

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from fermionant import (
@@ -146,3 +148,24 @@ def test_digon_faces():
     walks = faces(digon_plane())
     assert len(walks) == 2
     assert all(len(w) == 2 for w in walks)
+
+
+# Constructor rejections: a call, the exception type and the positional
+# fragment of its message.
+REJECTIONS = {
+    "num-vertices-negative": (
+        lambda: Multigraph(-1, ()), ValueError, "num_vertices must be nonnegative"
+    ),
+    "rotation-count": (
+        lambda: PlaneGraph(Multigraph(2, ((0, 1),)), (((0, 0),),)),
+        FormatError,
+        "expected one rotation per vertex (2), got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_every_constructor_rejection(case):
+    call, error, fragment = REJECTIONS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -669,7 +669,7 @@ def test_via_immanants_rejects_bad_k():
 
 
 def test_capacity_errors():
-    big = Matrix.identity(10)
+    big = Matrix.identity(11)
     with pytest.raises(CapacityError):
         fermionant(big, 2, "brute")
     with pytest.raises(ValueError):

@@ -130,3 +130,18 @@ def test_cycle_type():
     assert cycle_type((0, 1, 2)).parts == (1, 1, 1)
     assert cycle_type((1, 2, 0)).parts == (3,)
     assert cycle_type((1, 0, 3, 2)).parts == (2, 2)
+
+
+# Every argument check of the enumerations: a call and the fragment of its message.
+REJECTIONS = {
+    "depth-n-negative": (lambda: partitions_with_depth_at_most(-1, 2), "n must be nonnegative"),
+    "depth-k-zero": (lambda: partitions_with_depth_at_most(3, 0), "k must be positive"),
+    "ssyt-k-zero": (lambda: count_ssyt(Partition((2, 1)), 0), "k must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_every_argument_rejection(case):
+    call, fragment = REJECTIONS[case]
+    with pytest.raises(ValueError, match=fragment):
+        call()

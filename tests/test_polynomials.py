@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import pickle
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from fermionant import BivarPolynomial, UniPolynomial
@@ -46,6 +48,26 @@ def test_bivar_zero_coefficients_dropped():
     p = BivarPolynomial({(1, 0): 1, (0, 1): 0})
     assert p.coeffs == {(1, 0): 1}
     assert p.coefficient(0, 1) == 0
+
+
+def test_bivar_is_hashable_consistently_with_equality():
+    p = BivarPolynomial({(2, 0): 1, (1, 0): 1, (0, 1): 1})
+    q = BivarPolynomial({(0, 1): 1, (1, 0): 1, (2, 0): 1, (3, 3): 0})
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, BivarPolynomial.zero(), BivarPolynomial({})}) == 2
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert BivarPolynomial.monomial(1, 0) != BivarPolynomial.monomial(0, 1)
+
+
+def test_bivar_coefficients_cannot_be_changed():
+    source = {(1, 0): 1}
+    p = BivarPolynomial(source)
+    with pytest.raises(TypeError):
+        p.coeffs[(0, 0)] = 5
+    source[(0, 0)] = 5
+    assert p.coeffs == {(1, 0): 1}
+    assert dict(p.coeffs.items()) == {(1, 0): 1}
+    assert str(p) == "x" and p.to_json() == {"1,0": "1"}
 
 
 def test_bivar_arithmetic_and_eval():

@@ -42,8 +42,10 @@ def test_medial_examples():
 
 
 def test_medial_rejects_edgeless():
-    with pytest.raises(ValueError):
-        medial(PlaneGraph(Multigraph(1, ()), ((),)))
+    # every transform that needs an edge, on the edgeless one-vertex plane graph
+    for transform in (medial, ferm2_medial_closed_form):
+        with pytest.raises(ValueError, match="medial graph requires at least one edge"):
+            transform(PlaneGraph(Multigraph(1, ()), ((),)))
 
 
 def test_medial_degree_law(exhaustive4):

@@ -69,6 +69,49 @@ def test_corrupted_medial_is_caught():
     assert "graph" in ce.instance
 
 
+def _count_documents(monkeypatch):
+    """Wrap verify's write_matrix and write_graph; returns the list of calls."""
+    calls = []
+    for name in ("write_matrix", "write_graph"):
+
+        def counted(obj, real=getattr(verify_module, name), name=name):
+            calls.append(name)
+            return real(obj)
+
+        monkeypatch.setattr(verify_module, name, counted)
+    return calls
+
+
+def test_passing_suite_builds_no_instance_document(monkeypatch):
+    calls = _count_documents(monkeypatch)
+    report = verify_suite(1, SMALL)
+    assert report.all_passed
+    assert calls == []
+
+
+# The counterexample instances of the suite at seed 7 with corrupt_medial, as
+# built when every instance's document was serialized up front.
+_CORRUPT_PLANE = (
+    '{"kind":"plane","num_vertices":2,"edges":[[0,1],[1,0]],'
+    '"rotations":[[[0,0],[1,1]],[[0,1],[1,0]]]}'
+)
+_CORRUPT_INSTANCES = {
+    "martin-circuit-partition": {"graph": _CORRUPT_PLANE},
+    "medial-tutte-headline": {"graph": _CORRUPT_PLANE, "k": 2},
+    "bicycle-tutte-point": {"graph": _CORRUPT_PLANE, "closed_form": True},
+}
+
+
+def test_one_instance_document_per_family_with_a_counterexample(monkeypatch):
+    calls = _count_documents(monkeypatch)
+    report = verify_suite(7, SMALL, medial_fn=corrupt_medial)
+    found = {r.name: r.counterexample.instance for r in report.identities if r.counterexample}
+    assert found == _CORRUPT_INSTANCES
+    # the payload's bytes depend on key order, which == on dicts ignores
+    assert json.dumps(list(found.values())) == json.dumps(list(_CORRUPT_INSTANCES.values()))
+    assert calls == ["write_graph"] * len(found)
+
+
 def test_raising_check_is_charged_to_its_instance_and_the_family_goes_on():
     clean = {r.name: r for r in verify_suite(7, SMALL).identities}
     calls = []
@@ -107,7 +150,7 @@ def test_medial_fn_hook_uses_module_default(monkeypatch):
 def test_limits_above_route_caps_raise_before_any_family(monkeypatch):
     families = []
     monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
-    for limits in (Limits(max_n=10), Limits(max_edges=15), Limits(max_arcs=21)):
+    for limits in (Limits(max_n=11), Limits(max_edges=15), Limits(max_arcs=21)):
         with pytest.raises(CapacityError):
             verify_suite(1, limits)
     assert families == []
