@@ -31,6 +31,7 @@ it back is the identity.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .errors import FormatError
@@ -47,10 +48,21 @@ _GRAPH_FIELDS = {
 
 
 def _load_json(text: str, what: str) -> Any:
+    """``json.loads``, each of its rejections a FormatError naming ``what``:
+    a syntax error with its line and column, nesting past the recursion
+    limit, and an integer literal longer than sys.get_int_max_str_digits(),
+    which json reads with int() and neither reader would accept (matrix
+    entries that long are decimal strings)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError(f"{what}: arrays or objects nested too deeply") from None
+    except ValueError:
+        raise FormatError(
+            f"{what}: an integer literal has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 # Integers cross this boundary as text through decimal.Decimal, exact at any

@@ -37,8 +37,7 @@ from .graphs import (
     Digraph,
     Multigraph,
     PlaneGraph,
-    _fundamental_cycles,
-    _union_find,
+    _spanning_forest,
     connected_components,
 )
 from .polynomials import BivarPolynomial, UniPolynomial
@@ -66,7 +65,7 @@ def _subgraph_tally(graph: Multigraph) -> dict[tuple[int, int], int]:
     edges = graph.edges
     if len(edges) > SUBGRAPH_SUM_MAX_EDGES:
         raise CapacityError(f"subgraph sum limited to {SUBGRAPH_SUM_MAX_EDGES} edges, got {len(edges)}")
-    c_full, _ = _union_find(n, edges)
+    c_full, _ = connected_components(graph)
     last_edge = {}
     for e, (u, v) in enumerate(edges):
         last_edge[u] = last_edge[v] = e
@@ -134,8 +133,9 @@ def _bridges(num_vertices: int, edges: list[tuple[int, int]]) -> set[int]:
     """Ids of bridge edges, the edges on no cycle.  Every edge outside the
     spanning forest lies on its own fundamental cycle, so these are the
     forest edges that no fundamental cycle covers."""
+    _, cycles = _spanning_forest(num_vertices, edges)
     on_cycle = 0
-    for mask in _fundamental_cycles(num_vertices, edges):
+    for mask in cycles:
         on_cycle |= mask
     return {eid for eid in range(len(edges)) if not on_cycle >> eid & 1}
 
@@ -183,7 +183,8 @@ def tutte_diagonal(graph: Multigraph, x: int) -> int:
 
         sum over S of (x-1)^(c(S) + l(S) - c(G)),  l(S) = c(S) + |S| - |V|,
 
-    as an oracle independent of both Tutte routes."""
+    as an oracle independent of deletion-contraction; it reads the same
+    tally as ``tutte_subgraph_sum``, so it is no check on that route."""
     return sum(count * (x - 1) ** (a + b) for (a, b), count in _subgraph_tally(graph).items())
 
 

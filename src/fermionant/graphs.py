@@ -25,9 +25,9 @@ included.)  Constructors reject rotation systems that violate it.
 
 Face tracing has one home here: ``faces`` and the plane-graph generators
 (on the rotation lists of an embedding under construction) share one walk.
-Connectivity has one home here too: a union-find gives component counts and
-labels, and a depth-first spanning forest gives the fundamental cycles that
-the bridge test and the bicycle space read.
+Connectivity has one home here too: one depth-first spanning forest gives
+the component labels and counts and the fundamental cycles that the bridge
+test and the bicycle space read.
 
 All graph values are immutable; operations are pure functions.
 """
@@ -35,7 +35,7 @@ All graph values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import FormatError
 from .matrixfn import Matrix
@@ -230,76 +230,54 @@ def _face_walks(
     return walks
 
 
-def _union_find(
-    num_vertices: int, pairs: Iterable[tuple[int, int]]
-) -> tuple[int, Callable[[int], int]]:
-    """Component count of the graph on vertices 0..num_vertices-1 with the
-    given endpoint pairs (isolated vertices included), and ``find`` of the
-    merged union-find, which maps every vertex to its component's root."""
-    parent = list(range(num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = num_vertices
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            count -= 1
-    return count, find
-
-
-def _fundamental_cycles(num_vertices: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """Fundamental-cycle bitmasks (bit i = pair i) of a spanning forest grown
-    by depth-first search: one per pair outside the forest, loops included,
-    in pair order.  They form a basis of the cycle space, and a pair lies on
-    some cycle exactly when one of them covers it."""
+def _spanning_forest(
+    num_vertices: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """The depth-first spanning forest of the graph on vertices
+    0..num_vertices-1 with the given endpoint pairs, grown from each vertex
+    not yet reached in vertex order.  Returns each vertex's component label,
+    0, 1, ... in order of the component's first vertex (isolated vertices
+    included), and the fundamental-cycle bitmasks (bit i = pair i): one per
+    pair outside the forest, loops included, in pair order.  The cycles form
+    a basis of the cycle space, and a pair lies on some cycle exactly when
+    one of them covers it."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
     for eid, (u, v) in enumerate(pairs):
         adjacency[u].append((v, eid))
         adjacency[v].append((u, eid))
-    # tree-path masks from each vertex to its tree's root
-    root_path: list[int | None] = [None] * num_vertices
+    labels = [-1] * num_vertices
+    root_path = [0] * num_vertices  # tree-path mask from each vertex to its root
     forest = 0
+    count = 0
     for start in range(num_vertices):
-        if root_path[start] is not None:
+        if labels[start] >= 0:
             continue
-        root_path[start] = 0
+        labels[start] = count
         stack = [start]
         while stack:
             x = stack.pop()
             for y, eid in adjacency[x]:
-                if root_path[y] is None:
+                if labels[y] < 0:
+                    labels[y] = count
                     root_path[y] = root_path[x] ^ (1 << eid)
                     forest |= 1 << eid
                     stack.append(y)
-    return [
+        count += 1
+    cycles = [
         root_path[u] ^ root_path[v] ^ (1 << eid)
         for eid, (u, v) in enumerate(pairs)
         if not forest >> eid & 1
     ]
+    return labels, cycles
 
 
 def connected_components(graph: Multigraph | Digraph) -> tuple[int, list[int]]:
     """Component count (isolated vertices included) and a vertex labeling
     with labels 0..count-1 in order of first appearance.  Arc direction is
     ignored for digraphs."""
-    n = graph.num_vertices
     pairs = graph.edges if isinstance(graph, Multigraph) else graph.arcs
-    _, find = _union_find(n, pairs)
-    labels = [-1] * n
-    count = 0
-    for v in range(n):
-        r = find(v)
-        if labels[r] == -1:
-            labels[r] = count
-            count += 1
-        labels[v] = labels[r]
-    return count, labels
+    labels, _ = _spanning_forest(graph.num_vertices, pairs)
+    return max(labels, default=-1) + 1, labels
 
 
 def adjacency_matrix(graph: Multigraph | Digraph) -> Matrix:

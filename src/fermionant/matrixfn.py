@@ -255,9 +255,13 @@ def _list_cap(h: int) -> int:
     """The most nonzero cycles the cover phase walks as a list at a level
     with h vertices above its lowest vertex.  Below ``_CONVOLVE_MIN_H`` every
     level is a list walk (a level holds at most 2^h cycles); from there up a
-    list of count cycles costs count * 2^h steps, so it is kept only while
-    that is below the 3^h of walking every submask, which is exactly
-    count <= 3^h >> h.  The one rule that sets a level's kind."""
+    list of count cycles costs count * 2^h steps and is kept while count <=
+    3^h >> h, else the level is convolved.  The rule is kept as it is,
+    though 3^h is not what the convolution costs: ``python3
+    scripts/dp_timings.py levels 2 ... 11`` reads the convolve/list time of
+    a dense level (its convolution against a list of all 2^h cycles) as
+    1.1-1.2 at h = 5 and about 0.8, 0.5, 0.33, 0.2-0.3, 0.1 and 0.06 at
+    h = 6..11.  The one rule that sets a level's kind."""
     return 1 << h if h < _CONVOLVE_MIN_H else 3**h >> h
 
 

@@ -21,9 +21,9 @@ for plane graphs.
 The bicycle space of a multigraph is the GF(2) intersection of the cycle
 space and the cut (star) space; its dimension controls the Tutte value at
 (-1, -1).  Its cycle basis is the fundamental cycles of the spanning forest
-in ``graphs``; the GF(2) rank that meets it with the cut space lives here,
-on edge-indexed bitmasks (Python ints are unbounded, so one "word" per row
-covers any edge count).
+in ``graphs``, and every vertex star spans the cut space; the GF(2) rank
+that meets the two lives here, on edge-indexed bitmasks (Python ints are
+unbounded, so one "word" per row covers any edge count).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .graphs import (
     Digraph,
     Multigraph,
     PlaneGraph,
-    _fundamental_cycles,
+    _spanning_forest,
     adjacency_matrix,
     connected_components,
     faces,
@@ -81,37 +81,19 @@ def _gf2_rank(rows: list[int]) -> int:
     return len(pivots)
 
 
-def _star_masks(graph: Multigraph, labels: list[int]) -> list[int]:
-    """Vertex-star cut vectors, omitting the first vertex of each component
-    (given by its ``connected_components`` labels), in one pass over the
-    edges.  A loop's bit is flipped twice at its one vertex, so it vanishes
-    over GF(2)."""
+def bicycle_dimension(graph: Multigraph) -> int:
+    """Dimension over GF(2) of cycle space intersect cut space, via
+    dim U + dim W - dim(U + W).  The cycle space has the forest's
+    fundamental cycles as a basis, one per edge off the forest, and the cut
+    space has dimension the forest's edge count, so dim U + dim W = |E|;
+    U + W is spanned by those cycles and every vertex star.  A loop's bit is
+    flipped twice at its one vertex, so it vanishes from the stars."""
     stars = [0] * graph.num_vertices
     for eid, (a, b) in enumerate(graph.edges):
         stars[a] ^= 1 << eid
         stars[b] ^= 1 << eid
-    seen: set[int] = set()
-    kept = []
-    for label, star in zip(labels, stars):
-        if label in seen:
-            kept.append(star)
-        else:
-            seen.add(label)
-    return kept
-
-
-def bicycle_dimension(graph: Multigraph) -> int:
-    """Dimension over GF(2) of cycle space intersect cut space, via
-    dim U + dim W - dim(U + W) with the standard bases."""
-    n = graph.num_vertices
-    m = graph.num_edges
-    c, labels = connected_components(graph)
-    dim_cycle = m - n + c
-    dim_cut = n - c
-    cycles = _fundamental_cycles(n, graph.edges)
-    stars = _star_masks(graph, labels)
-    stacked_rank = _gf2_rank(cycles + stars)
-    return dim_cycle + dim_cut - stacked_rank
+    _, cycles = _spanning_forest(graph.num_vertices, graph.edges)
+    return graph.num_edges - _gf2_rank(cycles + stars)
 
 
 def ferm2_medial_closed_form(plane: PlaneGraph) -> int:

@@ -144,6 +144,15 @@ def test_out_write_error_exits_2(capsys, tmp_path, triangle_file):
         assert "cannot write" in err, command
 
 
+def test_deeply_nested_document_is_input_error(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    for argv in (["ferm", "--matrix", str(path), "--k", "2"], ["tutte", "--graph", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "nested too deeply" in err, argv
+
+
 def test_graph_kind_mismatch_is_input_error(capsys, tmp_path, triangle_file):
     code, _, err = run(capsys, ["circuit-poly", "--graph", triangle_file])
     assert code == 2

@@ -198,6 +198,26 @@ REJECTIONS = {
         '{"n": 2, "entries": [[1, 2], [3, null]]}',
         "field 'entries', row 1, column 1: expected an integer, got None",
     ),
+    "graph-nested-too-deeply": (
+        read_graph,
+        "[" * 100000,
+        "graph document: arrays or objects nested too deeply",
+    ),
+    "matrix-nested-too-deeply": (
+        read_matrix,
+        '{"n": 1, "entries": ' + "[" * 100000,
+        "matrix document: arrays or objects nested too deeply",
+    ),
+    "graph-integer-past-the-digit-limit": (
+        read_graph,
+        '{"kind": "multigraph", "num_vertices": %s, "edges": []}' % ("1" * 5000),
+        "graph document: an integer literal has more than",
+    ),
+    "matrix-integer-past-the-digit-limit": (
+        read_matrix,
+        '{"n": 1, "entries": [[-%s]]}' % ("1" * 5000),
+        "matrix document: an integer literal has more than",
+    ),
 }
 
 

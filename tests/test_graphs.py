@@ -138,10 +138,10 @@ def test_connected_components():
     tri_plus = Multigraph(4, ((0, 1), (1, 2), (2, 0)))
     assert connected_components(tri_plus)[0] == 2
     assert connected_components(Digraph(3, ((0, 1), (1, 2))))[0] == 1
-    count, labels = connected_components(Multigraph(5, ((0, 1), (3, 4))))
-    assert count == 3
-    assert labels[0] == labels[1] and labels[3] == labels[4]
-    assert len(set(labels)) == 3
+    # labels run 0, 1, ... in order of each component's first vertex
+    assert connected_components(Multigraph(5, ((0, 1), (3, 4)))) == (3, [0, 0, 1, 2, 2])
+    assert connected_components(Digraph(5, ((4, 0), (3, 1), (2, 3)))) == (2, [0, 1, 1, 1, 0])
+    assert connected_components(Multigraph(4, ((2, 1), (3, 3)))) == (3, [0, 1, 1, 2])
 
 
 def test_digon_faces():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fermionant import (
@@ -29,6 +31,7 @@ from conftest import (
     single_edge_plane,
     triangle_plane,
 )
+from oracles import _component_count
 
 
 def test_medial_examples():
@@ -150,9 +153,35 @@ def bicycle_dimension_brute(graph) -> int:
 
 
 def test_bicycle_against_subset_enumeration(multigraph_fixtures):
+    """The fixtures, then seeded multigraphs mixing loops, parallel edges,
+    isolated vertices, several components, the empty graph and nonzero
+    bicycle dimensions."""
     for g in multigraph_fixtures[:80]:
         if g.num_edges <= 7 and g.num_vertices <= 8:
             assert bicycle_dimension(g) == bicycle_dimension_brute(g), g.edges
+    rng = random.Random(21)
+    seen = set()
+    for trial in range(300):
+        n = rng.randint(0, 7)
+        edges = tuple(
+            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9) if n else 0)
+        )
+        if edges and rng.random() < 0.4:
+            edges += (rng.choice(edges),)
+        g = Multigraph(n, edges)
+        dim = bicycle_dimension(g)
+        assert dim == bicycle_dimension_brute(g), (n, edges)
+        touched = len({w for e in edges for w in e})
+        features = {
+            "bicycle": dim > 0,
+            "empty": n == 0,
+            "loop": any(u == v for u, v in edges),
+            "parallel": any(u != v and edges.count((u, v)) > 1 for u, v in edges),
+            "isolated": touched < n,
+            "components": _component_count(n, edges) - (n - touched) > 1,
+        }
+        seen.update(name for name, present in features.items() if present)
+    assert seen == {"bicycle", "empty", "loop", "parallel", "isolated", "components"}
 
 
 def test_bicycle_tutte_point(multigraph_fixtures):
