@@ -11,20 +11,6 @@ medial graphs of seeded plane graphs (two nonzeros a row).
         ``matrixfn._FOLD`` to 1, so that level 1 is not folded into the
         per-matrix top), best of a few k = 2 runs with the cycle sums
         memoised.  The crossover sets ``matrixfn._CONVOLVE_MIN_H``.
-    python3 scripts/dp_timings.py pack [N ...]
-        For each n (default 12 15 17) and each density p of a grid from 0.15
-        to 1, two seeded n x n matrices whose entries are nonzero with
-        probability p: the cycle sums from a cold memo with every level that
-        has more than ``matrixfn._PACK_BLOCK`` vertices above its lowest one
-        packed (packed_s) and with none packed (unpacked_s), best of a few
-        runs, and the matrix's mean nonzeros per row.  The crossover sets
-        ``matrixfn._PACK_MIN_DEGREE``.
-    python3 scripts/dp_timings.py fold [N ...]
-        For each n (default 14 16) and each ``matrixfn._FOLD`` of 1, 2, 3
-        and 4, a dense n x n matrix: the first k (Ferm_2 from a cold memo,
-        so the cycle sums, the folded top and the cover) and a further k
-        (Ferm_3, the cover alone), best of a few runs, and the number of
-        levels folded.  The fastest sets ``matrixfn._FOLD``.
     python3 scripts/dp_timings.py dense [N ...]
         For each n (default 14 16 18 20), in a fresh process: the first k,
         Ferm_2 from a cold memo, as its two phases timed apart (cycle_sums_s,
@@ -62,17 +48,9 @@ from fermionant import Matrix, fermionant, generate_plane_graph, matrixfn, media
 ENTRIES = (1, -1, 2, -2, 3, -3)
 
 
-PACK_DENSITIES = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 0.7, 1.0)
-
-
 def dense_matrix(n: int, seed: int) -> Matrix:
     rng = random.Random(f"dp-timings-{n}-{seed}")
     return Matrix(tuple(tuple(rng.choice(ENTRIES) for _ in range(n)) for _ in range(n)))
-
-
-def sparse_matrix(n: int, p: float, seed: int) -> Matrix:
-    rng = random.Random(f"dp-timings-sparse-{n}-{p}-{seed}")
-    return Matrix(tuple(tuple(rng.choice(ENTRIES) if rng.random() < p else 0 for _ in range(n)) for _ in range(n)))
 
 
 def medial_matrix(edges: int, seed: int) -> Matrix:
@@ -112,57 +90,6 @@ def time_levels(hs: list[int]) -> None:
         matrixfn._cycle_sums.cache_clear()
 
 
-def time_pack(ns: list[int]) -> None:
-    rule = matrixfn._low_block
-    block = matrixfn._PACK_BLOCK
-    forced = {"packed": lambda h, succ: block if h > block else 0, "unpacked": lambda h, succ: 0}
-    try:
-        for n in ns:
-            for p in PACK_DENSITIES:
-                for seed in range(2):
-                    a = sparse_matrix(n, p, seed)
-                    nonzeros = sum(x != 0 for r in a.rows for x in r)
-                    row: dict[str, object] = {"n": n, "p": p, "seed": seed,
-                                              "nonzeros_per_row": round(nonzeros / n, 2)}
-                    times = {}
-                    for kind, forced_rule in forced.items():
-                        matrixfn._low_block = forced_rule
-
-                        def cold():
-                            matrixfn._cycle_sums.cache_clear()
-                            matrixfn._cycle_sums(a)
-
-                        times[kind] = _best_of(3 if n < 17 else 1, cold)
-                        row[f"{kind}_s"] = round(times[kind], 5)
-                    row["packed_over_unpacked"] = round(times["packed"] / times["unpacked"], 3)
-                    print(json.dumps(row), flush=True)
-    finally:
-        matrixfn._low_block = rule
-        matrixfn._cycle_sums.cache_clear()
-
-
-def time_fold(ns: list[int]) -> None:
-    rule = matrixfn._FOLD
-    try:
-        for n in ns:
-            a = dense_matrix(n, 0)
-            for fold in (1, 2, 3, 4):
-                matrixfn._FOLD = fold
-
-                def cold():
-                    matrixfn._cycle_sums.cache_clear()
-                    fermionant(a, 2, "dp")
-
-                runs = 3 if n < 17 else 1
-                row = {"n": n, "fold": fold, "first_k_s": round(_best_of(runs, cold), 5),
-                       "further_k_s": round(_best_of(runs, lambda: fermionant(a, 3, "dp")), 5),
-                       "folded": len(matrixfn._cycle_sums(a)[2])}
-                print(json.dumps(row), flush=True)
-    finally:
-        matrixfn._FOLD = rule
-        matrixfn._cycle_sums.cache_clear()
-
-
 def time_dense(n: int) -> None:
     a = dense_matrix(n, 0)
     matrixfn._cycle_sums.cache_clear()
@@ -193,10 +120,6 @@ def main(argv: list[str]) -> None:
     mode, args = (argv[0], [int(x) for x in argv[1:]]) if argv else ("", [])
     if mode == "levels":
         time_levels(args or list(range(4, 11)))
-    elif mode == "pack":
-        time_pack(args or [12, 15, 17])
-    elif mode == "fold":
-        time_fold(args or [14, 16])
     elif mode == "dense":
         for n in args or [14, 16, 18, 20]:
             subprocess.run([sys.executable, __file__, "dense-one", str(n)], check=True)

@@ -110,6 +110,18 @@ class Digraph:
         return sum(1 for _, w in self.arcs if w == v)
 
 
+def _half_edge(v: int, item: object) -> HalfEdge:
+    """A rotation item at vertex v as a half-edge (edge_id, end) of two
+    ints (not bools); anything else is a FormatError naming v and the item."""
+    try:
+        e, s = item
+    except (TypeError, ValueError):
+        e = s = None
+    if type(e) is not int or type(s) is not int:
+        raise FormatError(f"rotation at vertex {v} lists {item!r}, not a half-edge (edge_id, end) of two integers")
+    return e, s
+
+
 @dataclass(frozen=True)
 class PlaneGraph:
     """A multigraph with a counterclockwise rotation system.
@@ -126,7 +138,7 @@ class PlaneGraph:
         object.__setattr__(
             self,
             "rotations",
-            tuple(tuple((e, s) for e, s in rot) for rot in self.rotations),
+            tuple(tuple(_half_edge(v, he) for he in rot) for v, rot in enumerate(self.rotations)),
         )
         g = self.graph
         if len(self.rotations) != g.num_vertices:

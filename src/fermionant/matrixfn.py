@@ -39,11 +39,10 @@ route is sequential and deterministic.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress, groupby, repeat
+from functools import lru_cache, reduce
+from itertools import compress, repeat
 from operator import add, and_, lshift, mul, sub
 
 from .characters import character, schur_weyl_expand
@@ -277,8 +276,10 @@ def _row_bound(rows: Iterable[Sequence[int]]) -> int:
 
 # A cycle-sum level with more than _PACK_BLOCK vertices above its lowest
 # vertex, whose block averages at least _PACK_MIN_DEGREE nonzeros a row,
-# carries its next _PACK_BLOCK vertices as packed digits: the crossover that
-# ``python3 scripts/dp_timings.py pack`` measures.
+# carries its next _PACK_BLOCK vertices as packed digits.  Measured when
+# packing was added (CHANGES.md; README "Capacity bounds"): with every level
+# packed against none, the cycle sums took 1.9-3.3x the time at 1.7-3
+# nonzeros a row, 0.78-1.7x at 3.5-4.4 and 0.16-0.72x at 4.8 or more.
 _PACK_BLOCK = 5
 _PACK_MIN_DEGREE = 4.5
 
@@ -486,22 +487,12 @@ def _rank_read(v: list[int], shifts: Sequence[int], h: int, width: int, scale: i
 
 
 # At most this many leading unlisted cover levels are folded into the dp's
-# per-matrix top: the choice that ``python3 scripts/dp_timings.py fold``
-# measures.  Each level folded halves each further k, but a fourth costs
-# the first k more than it saves (14 set partitions to convolve, not 4).
+# per-matrix top, whose products ``_fold_top`` writes out for f <= 3
+# (``python3 scripts/dp_timings.py levels`` sets it to 1).  Each level folded
+# halves each further k, but a fourth costs the first k more than it saves
+# (14 set partitions to convolve, not 4), as measured when the fold was
+# added (CHANGES.md; README "Capacity bounds").
 _FOLD = 3
-
-
-@lru_cache(maxsize=None)
-def _set_partitions(f: int) -> tuple[tuple[int, ...], ...]:
-    """The set partitions of the vertices 0..f-1, each a tuple of block
-    bitmasks, in descending order of block count."""
-    parts: list[tuple[int, ...]] = [()]
-    for i in range(f):
-        bit = 1 << i
-        parts = [p[:t] + (p[t] | bit,) + p[t + 1:] for p in parts for t in range(len(p))] + [p + (bit,) for p in parts]
-    parts.sort(key=len, reverse=True)
-    return tuple(parts)
 
 
 def _fold_top(C: tuple[int, ...], walks: tuple, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -509,23 +500,28 @@ def _fold_top(C: tuple[int, ...], walks: tuple, rows: tuple[tuple[int, ...], ...
     ``_fermionant_dp`` describes: f is the length of the leading run of
     levels 0, 1, ... that ``_cycle_sums`` left unlisted, at most ``_FOLD``,
     so the top is () when level 0 is listed.  With L = {0..f-1} and H the
-    other h = n - f vertices, P_j[Z] for Z within H sits at index Z >> f,
-    and P_j is the sum, over the set partitions of L into j blocks B, of
-    the ranked subset convolution over H of the slices C_B[Z] = C[B | Z] =
-    C[B::2^f].  So P_1 is the slice C[2^f - 1::2^f] itself, and for f = 3
-    P_2 = C_0 * C_12 + C_1 * C_02 + C_2 * C_01 and P_3 = C_0 * C_1 * C_2.
+    other h = n - f vertices, P_j[Z] for Z within H sits at index Z >> f
+    and sums the covers of L | Z by j cycles that each meet L.  Grouped by
+    the blocks the cycles cut from L, P_j is a sum of ranked subset
+    convolutions over H of the slices C_B[Z] = C[B | Z] = C[B::2^f], one
+    per partition of L into j blocks B:
+
+        P_1 = C_L, the slice C[2^f - 1::2^f] itself;
+        P_2 = C_0 * C_1 at f = 2, and C_0 * C_12 + C_1 * C_02 + C_2 * C_01
+              at f = 3;
+        P_3 = C_0 * C_1 * C_2.
 
     Each term of P_j[Z] is a product of entries from the distinct rows of
     L | Z in distinct columns, one permutation counted once, so |P_j[Z]| <=
     R = prod_i max(1, sum_j |a_ij|), and the digit width is W = bits(R) + 1,
-    free of k.  The products of one P_j are summed in the zeta domain and
-    share one Moebius transform.  Each pointwise product is masked to its
-    low h + 1 digits, which is exact: the transforms only add and subtract,
-    so every value stays congruent mod 2^(W(h+1)) to the unmasked one, and
-    the read of digit |Z| <= h sees only those low bits.  A block's zeta
-    transform is kept only while a later product still needs it (for
-    f = 3, the singletons' until their P_2 term), so the others are made
-    and folded in one at a time.
+    free of k.  The terms of P_2 are summed in the zeta domain and share one
+    Moebius transform.  Each pointwise product is masked to its low h + 1
+    digits, which is exact: the transforms only add and subtract, so every
+    value stays congruent mod 2^(W(h+1)) to the unmasked one, and the read
+    of digit |Z| <= h sees only those low bits.  A singleton's zeta
+    transform is freed after its last use, its P_2 term at f = 3, and each
+    pair's is made only for its term, so at most five transforms are alive
+    at once.
     """
     n = len(rows)
     f = 0
@@ -534,36 +530,28 @@ def _fold_top(C: tuple[int, ...], walks: tuple, rows: tuple[tuple[int, ...], ...
     if not f:
         return ()
     step = 1 << f
-    top = [C[step - 1::step]]
-    parts = _set_partitions(f)[:-1]  # P_f down to P_2
-    if not parts:
-        return tuple(top)
+    p1 = C[step - 1::step]
+    if f == 1:
+        return (p1,)
     h = n - f
     width = _row_bound(rows).bit_length() + 1
     keep = (1 << width * (h + 1)) - 1
     shifts = [width * Z.bit_count() for Z in range(1 << h)]
-    uses = Counter(block for blocks in parts for block in blocks)
-    kept: dict[int, list[int]] = {}
 
-    def product(blocks: tuple[int, ...]) -> Iterable[int]:
-        terms = None
-        for block in blocks:
-            v = kept.pop(block, None)
-            if v is None:
-                v = _rank_zeta(C[block::step], shifts, h)
-            uses[block] -= 1
-            if uses[block]:
-                kept[block] = v
-            terms = v if terms is None else map(and_, map(mul, terms, v), repeat(keep))
-        return terms
+    def zeta(block: int) -> list[int]:
+        return _rank_zeta(C[block::step], shifts, h)
 
-    for _, group in groupby(parts, len):
-        acc = list(product(next(group)))
-        for blocks in group:
-            acc = list(map(add, acc, product(blocks)))
-        top.insert(1, tuple(_rank_read(acc, shifts, h, width, 1)))
-        del acc
-    return tuple(top)
+    def times(u: Iterable[int], v: Iterable[int]) -> Iterable[int]:
+        return map(and_, map(mul, u, v), repeat(keep))
+
+    singles = [zeta(1 << i) for i in range(f)]
+    last = tuple(_rank_read(list(reduce(times, singles)), shifts, h, width, 1))  # P_f, the singletons' product
+    if f == 2:
+        return p1, last
+    p2 = repeat(0)
+    for i in range(3):  # C_i * C_(L - i), popping C_i for its last use
+        p2 = list(map(add, p2, times(singles.pop(0), zeta(7 ^ 1 << i))))
+    return p1, tuple(_rank_read(p2, shifts, h, width, 1)), last
 
 
 def _fermionant_dp(a: Matrix, k: int) -> int:

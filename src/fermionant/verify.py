@@ -326,15 +326,19 @@ def verify_suite(
     and ``max_arcs`` the dp on the line digraph (I5), whose vertices are
     arcs.
     A capacity limit is thus never reported as an identity violation.
-    ``max_n`` below 2, or ``max_edges``, ``trials`` or ``max_arcs`` below 1,
-    raises ``ValueError``, also before any family runs, so every family
-    checks at least one instance.
+    A limit that is not an int (a bool or a float included), ``max_n``
+    below 2, or ``max_edges``, ``trials`` or ``max_arcs`` below 1, raises
+    ``ValueError``, also before any family runs, so every family checks at
+    least one instance.
 
     ``medial_fn`` substitutes the medial construction in the families that
     use one; it exists so tests can confirm the harness catches a corrupted
     transform.
     """
     limits = limits or Limits()
+    for name, value in vars(limits).items():
+        if type(value) is not int:
+            raise ValueError(f"verify {name} must be an integer, got {value!r}")
     for name, value, cap, route in (
         ("max_n", limits.max_n, BRUTE_MAX_N, "the brute and immanant routes"),
         ("max_edges", limits.max_edges, TUTTE_MAX_EDGES, "deletion-contraction Tutte"),

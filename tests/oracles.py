@@ -148,6 +148,41 @@ def cycle_sums_brute(rows: list[list[int]]) -> list[int]:
     return sums
 
 
+def folded_top_brute(rows: list[list[int]], f: int) -> list[list[int]]:
+    """[P_1, ..., P_f] for the first f vertices L = {0..f-1}: P_j[i] sums,
+    over the permutations of L | Z with exactly j cycles, each cycle
+    meeting L, the product of rows[v][pi(v)], where Z holds the vertices
+    f + t for the bits t of i.  [] when f = 0."""
+    if not f:
+        return []
+    h = len(rows) - f
+    top = [[0] * (1 << h) for _ in range(f)]
+    for i in range(1 << h):
+        vertices = [*range(f), *(f + t for t in range(h) if i >> t & 1)]
+        for image in itertools.permutations(vertices):
+            pi = dict(zip(vertices, image))
+            w = 1
+            for v in vertices:
+                w *= rows[v][pi[v]]
+            if not w:
+                continue
+            seen: set[int] = set()
+            cycles = 0
+            for v in vertices:
+                if v in seen:
+                    continue
+                cycle = [v]
+                while pi[cycle[-1]] != v:
+                    cycle.append(pi[cycle[-1]])
+                seen.update(cycle)
+                if min(cycle) >= f:
+                    break
+                cycles += 1
+            else:
+                top[cycles - 1][i] += w
+    return top
+
+
 def principal_minors(rows: list[list[int]]) -> list[int]:
     """d[S] = det A[S, S] for every vertex set S (d[0] = 1), each by its own
     fraction-free elimination: after pivot p, every entry below becomes

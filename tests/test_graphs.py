@@ -27,8 +27,9 @@ def test_multigraph_validation():
 
 
 def test_graph_constructors_reject_non_integers():
-    """Vertex counts and endpoints must be ints, not floats or bools; the
-    message names the edge or arc by position."""
+    """Vertex counts, endpoints and half-edges must be ints, not floats or
+    bools; the message names the edge or arc by position, or the rotation
+    item by its vertex."""
     with pytest.raises(ValueError, match="edge 0 endpoints"):
         Multigraph(2, ((0, 1.0),))
     with pytest.raises(ValueError, match="num_vertices"):
@@ -44,6 +45,13 @@ def test_graph_constructors_reject_non_integers():
     with pytest.raises(ValueError, match="arc 0 endpoints \\(0, 2\\) out of range"):
         Digraph(2, ((0, 2),))
     assert Digraph(2, [[0, 1], [1, 0]]).arcs == ((0, 1), (1, 0))
+    # a rotation item must be a pair of ints: a bool or a float would be
+    # written as a document that the reader rejects
+    edge = Multigraph(2, ((0, 1),))
+    for item in ((0, True), (0.0, 0), (0, 0, 0), 0):
+        with pytest.raises(FormatError, match=re.escape(f"rotation at vertex 0 lists {item!r}")):
+            PlaneGraph(edge, ((item,), ((0, 1),)))
+    assert PlaneGraph(edge, ([[0, 0]], [[0, 1]])).rotations == (((0, 0),), ((0, 1),))
 
 
 def test_faces_single_edge():

@@ -33,6 +33,7 @@ from oracles import (
     cycle_cover_fermionant_brute,
     cycle_cover_fermionants_brute,
     cycle_sums_brute,
+    folded_top_brute,
 )
 
 DP_DENSE_REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "dp_dense.json"
@@ -489,17 +490,6 @@ def test_dp_forced_level_kind_matches_definition(force_level_kind, force_packing
         assert max(blocks) == int(kind.removeprefix("pack"))
 
 
-def test_set_partitions_behind_the_folded_top():
-    for f, stirling in ((0, {0: 1}), (1, {1: 1}), (2, {2: 1, 1: 1}), (3, {3: 1, 2: 3, 1: 1}),
-                        (4, {4: 1, 3: 6, 2: 7, 1: 1})):
-        parts = matrixfn._set_partitions(f)
-        assert len(set(parts)) == len(parts)
-        assert {j: sum(len(p) == j for p in parts) for j in stirling} == stirling
-        assert [len(p) for p in parts] == sorted(map(len, parts), reverse=True)
-        for blocks in parts:
-            assert sum(blocks) == (1 << f) - 1 and functools.reduce(int.__or__, blocks, 0) == (1 << f) - 1
-
-
 def test_dp_fold_reads_a_top_value_at_its_width_bound(force_level_kind):
     """Diagonal, n = 10, every level forced unlisted: the 1-cycles are the
     one cover of the folded vertices, so the top is 0 but for P_f[{}], their
@@ -515,6 +505,26 @@ def test_dp_fold_reads_a_top_value_at_its_width_bound(force_level_kind):
     assert not any(top[-1][1:]) and not any(map(any, top[:-1]))
     for k in (1, -1, 3, -3):
         assert fermionant(a, k, "dp") == k**10 * math.prod(diagonal)
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_fold_top_matches_cover_enumeration(force_level_kind, monkeypatch, fold):
+    """The folded top against the definition: P_j[Z], the weight of the
+    permutations of L | Z with j cycles, each meeting L.  Every level is
+    forced unlisted and ``_FOLD`` set to fold, so the top folds the leading
+    run of levels with a cycle, up to fold of them: dense matrices fold all
+    fold levels, zero-heavy ones may stop sooner."""
+    monkeypatch.setattr(matrixfn, "_FOLD", fold)
+    force_level_kind("convolve")
+    rng = random.Random(127)
+    cases = [random_matrix(rng, n) for n in range(1, 9)]
+    cases += [a for n in range(1, 9) for a in sparse_matrices(rng, n)]
+    folds = set()
+    for a in cases:
+        top = matrixfn._cycle_sums(a)[2]
+        folds.add(len(top))
+        assert list(map(list, top)) == folded_top_brute([list(r) for r in a.rows], len(top)), a
+    assert folds == set(range(fold + 1))
 
 
 def cycle_sums_cases():

@@ -24,35 +24,6 @@ def test_dp_timings_levels_prints_one_json_line_per_h():
         assert isinstance(row["list_s"], float) and isinstance(row["convolve_s"], float)
 
 
-def test_dp_timings_pack_prints_one_json_line_per_matrix():
-    # the pack mode patches matrixfn._low_block, the rule that sets each
-    # cycle-sum level's packed block; at n = 7 only level 0 can pack
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "dp_timings.py"), "pack", "7"],
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    rows = [json.loads(line) for line in done.stdout.splitlines()]
-    assert rows and all(row["n"] == 7 for row in rows)
-    assert {row["p"] for row in rows} >= {0.15, 1.0}
-    for row in rows:
-        assert 0 <= row["nonzeros_per_row"] <= 7
-        assert isinstance(row["packed_s"], float) and isinstance(row["unpacked_s"], float)
-
-
-def test_dp_timings_fold_prints_one_json_line_per_fold():
-    # the fold mode patches matrixfn._FOLD, the most leading cover levels
-    # folded into the per-matrix top; at n = 9 only levels 0..2 are unlisted
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "dp_timings.py"), "fold", "9"],
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    rows = [json.loads(line) for line in done.stdout.splitlines()]
-    assert [(row["n"], row["fold"]) for row in rows] == [(9, 1), (9, 2), (9, 3), (9, 4)]
-    assert [row["folded"] for row in rows] == [1, 2, 3, 3]
-    for row in rows:
-        assert isinstance(row["first_k_s"], float) and isinstance(row["further_k_s"], float)
-
-
 def test_dp_timings_dense_prints_both_phases_and_each_k():
     # the dense mode reads matrixfn._cycle_sums to time the k-free phase
     # apart from the cover, in a fresh process per n

@@ -172,6 +172,10 @@ def test_limits_leaving_a_family_empty_raise_before_any_family(monkeypatch):
         (Limits(max_n=1), "max_n must be at least 2, got 1"),
         (Limits(trials=0), "trials must be at least 1, got 0"),
         (Limits(trials=-3), "trials must be at least 1, got -3"),
+        (Limits(trials=True), "trials must be an integer, got True"),
+        (Limits(trials=2.5), "trials must be an integer, got 2.5"),
+        (Limits(max_n=4.0), "max_n must be an integer, got 4.0"),
+        (Limits(max_arcs="6"), "max_arcs must be an integer, got '6'"),
     ):
         with pytest.raises(ValueError, match=message):
             verify_suite(1, limits)
