@@ -33,15 +33,23 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, partial
+from math import factorial
 from typing import Any, Callable, Iterator
 
 from .characters import character, schur_weyl_expand
 from .errors import CapacityError
 from .generators import exhaustive_plane_graphs, generate_eulerian_digraph, generate_plane_graph
 from .graphio import write_graph, write_matrix
-from .graphpoly import TUTTE_MAX_EDGES, circuit_partition_poly, martin_rhs, tutte, tutte_diagonal
+from .graphpoly import (
+    TRANSITION_MAX_SYSTEMS,
+    TUTTE_MAX_EDGES,
+    circuit_partition_poly,
+    martin_rhs,
+    tutte,
+    tutte_diagonal,
+)
 from .graphs import Digraph, Multigraph, PlaneGraph, adjacency_matrix, connected_components
 from .hamilton import count_hamiltonian_cycles
 from .matrixfn import (
@@ -60,7 +68,7 @@ from .transforms import bicycle_dimension, ferm2_medial_closed_form, line_digrap
 @dataclass(frozen=True)
 class Limits:
     """Instance-size knobs; defaults fit the capacity bounds of every
-    module and finish in minutes."""
+    module, and ``verify --seed 42`` with them takes about a second."""
 
     max_n: int = 8
     max_edges: int = 7
@@ -74,9 +82,6 @@ class Counterexample:
     lhs: str
     rhs: str
 
-    def to_json(self) -> dict[str, Any]:
-        return {"instance": self.instance, "lhs": self.lhs, "rhs": self.rhs}
-
 
 @dataclass
 class IdentityResult:
@@ -87,14 +92,9 @@ class IdentityResult:
     wall_time_s: float
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "passes": self.passes,
-            "counterexample": None
-            if self.counterexample is None
-            else self.counterexample.to_json(),
-        }
+        payload = asdict(self)
+        del payload["wall_time_s"]
+        return payload
 
 
 @dataclass
@@ -113,12 +113,7 @@ class VerificationReport:
         wall times are deliberately left to the stderr summary."""
         return {
             "seed": self.seed,
-            "limits": {
-                "max_n": self.limits.max_n,
-                "max_edges": self.limits.max_edges,
-                "trials": self.limits.trials,
-                "max_arcs": self.limits.max_arcs,
-            },
+            "limits": asdict(self.limits),
             "identities": [r.to_json() for r in self.identities],
             "all_passed": self.all_passed,
         }
@@ -345,30 +340,23 @@ def _run_families(families: list[_Family]) -> list[IdentityResult]:
     second worker starts the long I2 while the first finishes the short I1.
     An exception a family raises outside its checks reaches the caller with
     its type and message.  A worker that dies (killed, or a hook that exits)
-    raises ``ChildProcessError``, where the pool alone would wait for its
-    result forever.  The pool is gone before this returns or raises."""
+    raises ``ChildProcessError`` instead of hanging.  No worker is left
+    running when this returns or raises."""
     workers = min(len(families), _usable_cpus())
     if workers > 1:
         import multiprocessing  # only here: importing the CLI stays cheap
 
         if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
             context = multiprocessing.get_context("fork")
-            others = set(multiprocessing.active_children())
-            pool = context.Pool(workers, initializer=_worker_families.extend, initargs=(families,))
+            pool = ProcessPoolExecutor(workers, context, _worker_families.extend, (families,))
             try:
-                started = set(multiprocessing.active_children()) - others
-                pending = pool.imap(_run_indexed, range(len(families)))
-                results = []
-                while len(results) < len(families):
-                    try:
-                        results.append(pending.next(timeout=0.1))
-                    except multiprocessing.TimeoutError:
-                        if any(p.exitcode is not None for p in started):
-                            raise ChildProcessError("a verify worker died mid-family") from None
-                return results
+                return list(pool.map(_run_indexed, range(len(families))))
+            except BrokenProcessPool:
+                raise ChildProcessError("a verify worker died mid-family") from None
             finally:
-                pool.terminate()
-                pool.join()
+                pool.shutdown(cancel_futures=True)
     return [_run_family(name, checks) for name, checks in families]
 
 
@@ -383,8 +371,10 @@ def verify_suite(
     Raises ``CapacityError`` before any family runs when a limit exceeds
     the capacity bound of the route it feeds: ``max_n`` the brute and
     immanant routes of I2, ``max_edges`` deletion-contraction Tutte (I4, I8)
-    and ``max_arcs`` the dp on the line digraph (I5), whose vertices are
-    arcs.
+    and ``max_arcs`` both the dp on the line digraph (I5), whose vertices
+    are arcs, and the transition-system cap ``TRANSITION_MAX_SYSTEMS`` of
+    j(G; z) (I5): m arcs have at most m! systems, so ``max_arcs`` is capped
+    at the largest m with m! within it (10).
     A capacity limit is thus never reported as an identity violation.
     A limit that is not an int (a bool or a float included), ``max_n``
     below 2, or ``max_edges``, ``trials`` or ``max_arcs`` below 1, raises
@@ -408,6 +398,13 @@ def verify_suite(
         ("max_n", limits.max_n, BRUTE_MAX_N, "the brute and immanant routes"),
         ("max_edges", limits.max_edges, TUTTE_MAX_EDGES, "deletion-contraction Tutte"),
         ("max_arcs", limits.max_arcs, DP_MAX_N, "the dp fermionant of the line digraph"),
+        # m arcs have at most m! transition systems, and m loops at one vertex have m!
+        (
+            "max_arcs",
+            limits.max_arcs,
+            max(m for m in range(DP_MAX_N + 1) if factorial(m) <= TRANSITION_MAX_SYSTEMS),
+            "the transition-system count of j(G; z)",
+        ),
     ):
         if value > cap:
             raise CapacityError(f"verify {name} limited to {cap} by {route}, got {value}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -268,12 +269,22 @@ def test_a_worker_that_dies_raises_instead_of_hanging(pooled):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_worker_killed_from_outside_raises_instead_of_hanging(pooled):
+    def killed_medial(plane):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(ChildProcessError, match="worker died"):
+        verify_suite(2, SMALL, medial_fn=killed_medial)
+    assert multiprocessing.active_children() == []
+
+
 def test_importing_the_cli_leaves_multiprocessing_unimported():
     src = Path(verify_module.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, fermionant.cli; print('multiprocessing' in sys.modules)"
+    code = "import sys, fermionant.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_summary_lines_format_and_elapsed_total():
@@ -299,10 +310,15 @@ def test_summary_lines_format_and_elapsed_total():
 def test_limits_above_route_caps_raise_before_any_family(monkeypatch):
     families = []
     monkeypatch.setattr(verify_module, "_run_family", lambda name, checks: families.append(name))
-    for limits in (Limits(max_n=11), Limits(max_edges=15), Limits(max_arcs=21)):
+    # 11 arcs can have 11! > 10^7 transition systems, one vertex with 11 loops
+    for limits in (Limits(max_n=11), Limits(max_edges=15), Limits(max_arcs=21), Limits(max_arcs=11)):
         with pytest.raises(CapacityError):
             verify_suite(1, limits)
     assert families == []
+    # the spy records in-process only; 10! <= 10^7, so max_arcs 10 gets through
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
+    verify_suite(1, Limits(max_arcs=10))
+    assert len(families) == 8
 
 
 def test_limits_below_1_raise_before_any_family(monkeypatch):
