@@ -4,116 +4,87 @@ Fermionants, immanants, Tutte and circuit-partition polynomials, medial and
 line-digraph constructions, bicycle-space dimension, Hamiltonian-cycle
 counting, plus generators and a verification harness that checks the
 identities tying them together on small instances.
+
+Each public name is imported from its home module on first use (PEP 562), so
+``import fermionant`` loads no kernel module; ``fermionant.fermionant`` is
+``fermionant.matrixfn.fermionant``.
 """
 
-from .errors import CapacityError, ConsistencyError, FormatError
-from .partitions import (
-    Partition,
-    all_partitions,
-    class_size,
-    count_ssyt,
-    count_syt,
-    cycle_type,
-    partitions_with_depth_at_most,
-    transpose,
-)
-from .characters import character, schur_weyl_expand
-from .polynomials import BivarPolynomial, UniPolynomial
-from .matrixfn import (
-    Matrix,
-    cycle_type_weight_sums,
-    determinant,
-    fermionant,
-    fermionant_cycle_poly,
-    fermionant_via_immanants,
-    immanant,
-    permanent,
-)
-from .graphs import (
-    Digraph,
-    Multigraph,
-    PlaneGraph,
-    adjacency_matrix,
-    connected_components,
-    faces,
-)
-from .graphio import read_graph, read_matrix, write_graph, write_matrix
-from .graphpoly import (
-    circuit_partition_poly,
-    martin_rhs,
-    tutte,
-    tutte_diagonal,
-    tutte_subgraph_sum,
-)
-from .transforms import (
-    bicycle_dimension,
-    ferm2_medial_closed_form,
-    line_digraph,
-    medial,
-    medial_line_adjacency,
-)
-from .hamilton import count_hamiltonian_cycles, ham_parity_via_ferm2
-from .generators import (
-    disjoint_union,
-    exhaustive_plane_graphs,
-    generate_eulerian_digraph,
-    generate_plane_graph,
-)
-from .verify import Limits, VerificationReport, verify_suite
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivarPolynomial",
-    "CapacityError",
-    "ConsistencyError",
-    "Digraph",
-    "FormatError",
-    "Limits",
-    "Matrix",
-    "Multigraph",
-    "Partition",
-    "PlaneGraph",
-    "UniPolynomial",
-    "VerificationReport",
-    "adjacency_matrix",
-    "all_partitions",
-    "bicycle_dimension",
-    "character",
-    "circuit_partition_poly",
-    "class_size",
-    "connected_components",
-    "count_hamiltonian_cycles",
-    "count_ssyt",
-    "count_syt",
-    "cycle_type",
-    "cycle_type_weight_sums",
-    "determinant",
-    "disjoint_union",
-    "exhaustive_plane_graphs",
-    "faces",
-    "ferm2_medial_closed_form",
-    "fermionant",
-    "fermionant_cycle_poly",
-    "fermionant_via_immanants",
-    "generate_eulerian_digraph",
-    "generate_plane_graph",
-    "ham_parity_via_ferm2",
-    "immanant",
-    "line_digraph",
-    "martin_rhs",
-    "medial",
-    "medial_line_adjacency",
-    "partitions_with_depth_at_most",
-    "permanent",
-    "read_graph",
-    "read_matrix",
-    "schur_weyl_expand",
-    "transpose",
-    "tutte",
-    "tutte_diagonal",
-    "tutte_subgraph_sum",
-    "verify_suite",
-    "write_graph",
-    "write_matrix",
-]
+# home module -> the public names it defines
+_HOMES = {
+    "errors": ("CapacityError", "ConsistencyError", "FormatError"),
+    "partitions": (
+        "Partition",
+        "all_partitions",
+        "class_size",
+        "count_ssyt",
+        "count_syt",
+        "cycle_type",
+        "partitions_with_depth_at_most",
+        "transpose",
+    ),
+    "characters": ("character", "schur_weyl_expand"),
+    "polynomials": ("BivarPolynomial", "UniPolynomial"),
+    "matrixfn": (
+        "Matrix",
+        "cycle_type_weight_sums",
+        "determinant",
+        "fermionant",
+        "fermionant_cycle_poly",
+        "fermionant_via_immanants",
+        "immanant",
+        "permanent",
+    ),
+    "graphs": (
+        "Digraph",
+        "Multigraph",
+        "PlaneGraph",
+        "adjacency_matrix",
+        "connected_components",
+        "faces",
+    ),
+    "graphio": ("read_graph", "read_matrix", "write_graph", "write_matrix"),
+    "graphpoly": (
+        "circuit_partition_poly",
+        "martin_rhs",
+        "tutte",
+        "tutte_diagonal",
+        "tutte_subgraph_sum",
+    ),
+    "transforms": (
+        "bicycle_dimension",
+        "ferm2_medial_closed_form",
+        "line_digraph",
+        "medial",
+        "medial_line_adjacency",
+    ),
+    "hamilton": ("count_hamiltonian_cycles", "ham_parity_via_ferm2"),
+    "generators": (
+        "disjoint_union",
+        "exhaustive_plane_graphs",
+        "generate_eulerian_digraph",
+        "generate_plane_graph",
+    ),
+    "verify": ("Limits", "VerificationReport", "verify_suite"),
+}
+
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

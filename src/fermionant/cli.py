@@ -9,6 +9,9 @@ evaluations and cycle counts print exactly at any length.
 Exit status: 0 on success, 1 on an internal-consistency failure (a bug,
 not bad input), 2 on input or parse errors, 3 on capacity errors, 4 when
 ``verify`` finds an identity violation.
+
+Each subcommand imports the modules it runs when it runs, so ``--help`` and a
+``ferm`` call load no graph-polynomial or verification code.
 """
 
 from __future__ import annotations
@@ -20,14 +23,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import CapacityError, ConsistencyError, FormatError
-from .graphio import _decimal_text, read_graph, read_matrix, write_graph
-from .graphpoly import circuit_partition_poly, tutte, tutte_subgraph_sum
-from .graphs import Digraph, Multigraph, PlaneGraph
-from .hamilton import count_hamiltonian_cycles, ham_parity_via_ferm2
-from .matrixfn import fermionant, immanant
-from .partitions import Partition
-from .transforms import bicycle_dimension, line_digraph, medial
-from .verify import Limits, verify_suite
 
 
 def _read_text(path: str) -> str:
@@ -45,6 +40,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_graph(path: str, *kinds: type) -> Any:
+    from .graphio import read_graph
+
     graph = read_graph(_read_text(path))
     if isinstance(graph, kinds):
         return graph
@@ -52,8 +49,10 @@ def _load_graph(path: str, *kinds: type) -> Any:
     raise FormatError(f"{path}: expected a {wanted} document, got {type(graph).__name__}")
 
 
-def _load_multigraph(path: str) -> Multigraph:
+def _load_multigraph(path: str) -> Any:
     """A Multigraph document, or the graph under a PlaneGraph's rotations."""
+    from .graphs import Multigraph, PlaneGraph
+
     graph = _load_graph(path, Multigraph, PlaneGraph)
     return graph.graph if isinstance(graph, PlaneGraph) else graph
 
@@ -64,6 +63,9 @@ def _emit(payload: dict[str, Any], summary: str) -> None:
 
 
 def _cmd_ferm(args: argparse.Namespace) -> int:
+    from .graphio import _decimal_text, read_matrix
+    from .matrixfn import fermionant
+
     matrix = read_matrix(_read_text(args.matrix))
     value = _decimal_text(fermionant(matrix, args.k, args.algorithm))
     _emit(
@@ -74,6 +76,10 @@ def _cmd_ferm(args: argparse.Namespace) -> int:
 
 
 def _cmd_imm(args: argparse.Namespace) -> int:
+    from .graphio import _decimal_text, read_matrix
+    from .matrixfn import immanant
+    from .partitions import Partition
+
     matrix = read_matrix(_read_text(args.matrix))
     shape = Partition.from_text(args.shape)
     value = _decimal_text(immanant(matrix, shape))
@@ -85,6 +91,9 @@ def _cmd_imm(args: argparse.Namespace) -> int:
 
 
 def _cmd_tutte(args: argparse.Namespace) -> int:
+    from .graphio import _decimal_text
+    from .graphpoly import tutte, tutte_subgraph_sum
+
     graph = _load_multigraph(args.graph)
     poly = tutte_subgraph_sum(graph) if args.oracle else tutte(graph)
     payload: dict[str, Any] = {
@@ -109,6 +118,9 @@ def _cmd_tutte(args: argparse.Namespace) -> int:
 
 
 def _cmd_circuit_poly(args: argparse.Namespace) -> int:
+    from .graphpoly import circuit_partition_poly
+    from .graphs import Digraph
+
     graph = _load_graph(args.graph, Digraph)
     poly = circuit_partition_poly(graph)
     _emit(
@@ -120,9 +132,11 @@ def _cmd_circuit_poly(args: argparse.Namespace) -> int:
 
 
 def _transform_to_file(
-    args: argparse.Namespace, kind: type, transform: Callable[[Any], Digraph], label: str
+    args: argparse.Namespace, kind: type, transform: Callable[[Any], Any], label: str
 ) -> int:
     """Apply a graph-to-digraph transform and write the result to --out."""
+    from .graphio import write_graph
+
     result = transform(_load_graph(args.graph, kind))
     _write_text(args.out, write_graph(result))
     _emit(
@@ -133,14 +147,22 @@ def _transform_to_file(
 
 
 def _cmd_medial(args: argparse.Namespace) -> int:
+    from .graphs import PlaneGraph
+    from .transforms import medial
+
     return _transform_to_file(args, PlaneGraph, medial, "medial graph")
 
 
 def _cmd_line_digraph(args: argparse.Namespace) -> int:
+    from .graphs import Digraph
+    from .transforms import line_digraph
+
     return _transform_to_file(args, Digraph, line_digraph, "line digraph")
 
 
 def _cmd_bicycle_dim(args: argparse.Namespace) -> int:
+    from .transforms import bicycle_dimension
+
     graph = _load_multigraph(args.graph)
     dim = bicycle_dimension(graph)
     _emit({"dimension": dim}, f"bicycle space dimension = {dim}")
@@ -148,6 +170,9 @@ def _cmd_bicycle_dim(args: argparse.Namespace) -> int:
 
 
 def _cmd_ham_count(args: argparse.Namespace) -> int:
+    from .graphio import _decimal_text
+    from .hamilton import count_hamiltonian_cycles
+
     graph = _load_multigraph(args.graph)
     count = _decimal_text(count_hamiltonian_cycles(graph))
     _emit({"count": count}, f"hamiltonian cycles: {count}")
@@ -155,6 +180,8 @@ def _cmd_ham_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_ham_parity(args: argparse.Namespace) -> int:
+    from .hamilton import ham_parity_via_ferm2
+
     graph = _load_multigraph(args.graph)
     parity = ham_parity_via_ferm2(graph)
     _emit({"parity": parity}, f"hamiltonian-cycle parity via Ferm_2: {parity}")
@@ -162,8 +189,13 @@ def _cmd_ham_parity(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    limits = Limits(max_n=args.max_n, max_edges=args.max_edges, trials=args.trials)
-    report = verify_suite(args.seed, limits)
+    from dataclasses import fields
+
+    from .verify import Limits, verify_suite
+
+    # a size option not given is absent from args and keeps its Limits default
+    given = {f.name: getattr(args, f.name) for f in fields(Limits) if hasattr(args, f.name)}
+    report = verify_suite(args.seed, Limits(**given))
     payload = report.to_json()
     if args.json:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -226,9 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity-verification suite")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=Limits.max_n, dest="max_n")
-    p.add_argument("--max-edges", type=int, default=Limits.max_edges, dest="max_edges")
-    p.add_argument("--trials", type=int, default=Limits.trials)
+    p.add_argument("--max-n", type=int, default=argparse.SUPPRESS, dest="max_n")
+    p.add_argument("--max-edges", type=int, default=argparse.SUPPRESS, dest="max_edges")
+    p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true", help="pretty-print the JSON report")
     p.set_defaults(fn=_cmd_verify)
 

@@ -22,6 +22,10 @@ the magnitude exceeds 2^53 - 1 so that consumers limited to doubles never
 see a lossy number.  Integers of any length are read and written exactly,
 past ``sys.get_int_max_str_digits()``.
 
+A document may declare at most ``GRAPH_MAX_VERTICES`` vertices; a larger
+"num_vertices" raises CapacityError before any edge is read, since the graph
+algorithms allocate per-vertex arrays.
+
 ``write_graph`` emits the canonical form: keys in the order shown above,
 compact separators, rotations rotated cyclically to start at their smallest
 half-edge, and a trailing newline.  Reading a canonical document and writing
@@ -34,11 +38,13 @@ import json
 import sys
 from typing import Any
 
-from .errors import FormatError
+from .errors import CapacityError, FormatError
 from .graphs import Digraph, Multigraph, PlaneGraph
 from .matrixfn import Matrix
 
 _SAFE_JSON_INT = 2**53 - 1
+
+GRAPH_MAX_VERTICES = 10**6
 
 _GRAPH_FIELDS = {
     "multigraph": {"kind", "num_vertices", "edges"},
@@ -122,6 +128,8 @@ def read_graph(text: str) -> Multigraph | Digraph | PlaneGraph:
     n = _require_int(doc["num_vertices"], "field 'num_vertices'")
     if n < 0:
         raise FormatError("field 'num_vertices': must be nonnegative")
+    if n > GRAPH_MAX_VERTICES:
+        raise CapacityError(f"field 'num_vertices': limited to {GRAPH_MAX_VERTICES}, got {n}")
     pairs = _edge_pairs(doc["edges"], n)
     if kind == "digraph":
         return Digraph(n, pairs)

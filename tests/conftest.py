@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fermionant import (
@@ -8,6 +13,19 @@ from fermionant import (
     exhaustive_plane_graphs,
     generate_plane_graph,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# sha256 of the compact ``fermionant verify --seed 42`` payload: any refactor
+# must leave these bytes unchanged
+GOLDEN_VERIFY_SEED_42_SHA256 = "6471b7d93c89c7fd27a02ead5507dcf8c770085f806edc94a464d6c134f5f55a"
+
+
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter that imports the package from src;
+    a nonzero exit raises."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
 
 
 def single_edge_plane() -> PlaneGraph:

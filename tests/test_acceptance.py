@@ -44,11 +44,8 @@ from fermionant import (
     verify_suite,
 )
 
+from conftest import GOLDEN_VERIFY_SEED_42_SHA256
 from oracles import ssyt_count_brute, syt_count_brute
-
-# sha256 of the compact ``fermionant verify --seed 42`` payload: any refactor
-# must leave these bytes unchanged
-GOLDEN_VERIFY_SEED_42_SHA256 = "6471b7d93c89c7fd27a02ead5507dcf8c770085f806edc94a464d6c134f5f55a"
 
 
 @contextmanager

@@ -3,6 +3,8 @@ starts: an input one past it raises CapacityError before any work."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from fermionant import (
@@ -21,10 +23,12 @@ from fermionant import (
     immanant,
     martin_rhs,
     permanent,
+    read_graph,
     tutte,
     tutte_diagonal,
     tutte_subgraph_sum,
 )
+from fermionant.graphio import GRAPH_MAX_VERTICES
 
 from conftest import cycle_graph
 
@@ -41,8 +45,9 @@ def banana(m: int) -> Multigraph:
 
 # One past each bound: brute (class sums) n <= 10, dp and permanent n <= 20,
 # Hamiltonian counting n <= 18, deletion-contraction 14 edges, subgraph sum
-# 16 edges, transition systems 10^7.  Hamiltonian parity's early dp check is
-# tested in test_hamilton.py, where the matrix build is made to fail.
+# 16 edges, transition systems 10^7, graph documents 10^6 vertices.
+# Hamiltonian parity's early dp check is tested in test_hamilton.py, where
+# the matrix build is made to fail.
 BRUTE_PAST = Matrix.identity(11)
 
 PAST_THE_BOUND = {
@@ -60,6 +65,10 @@ PAST_THE_BOUND = {
     "diagonal": lambda: tutte_diagonal(banana(17), 3),
     # a bouquet of d loops has d! transition systems: 10! < 10^7 < 11!
     "transition-systems": lambda: circuit_partition_poly(Digraph(1, ((0, 0),) * 11)),
+    # checked before the edges, which here would be a FormatError
+    "graph-vertices": lambda: read_graph(
+        json.dumps({"kind": "multigraph", "num_vertices": GRAPH_MAX_VERTICES + 1, "edges": None})
+    ),
 }
 
 

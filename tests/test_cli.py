@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
-from fermionant import Digraph, medial, read_graph, write_graph, write_matrix, Matrix
+from fermionant import Digraph, Limits, medial, read_graph, write_graph, write_matrix, Matrix
 from fermionant.cli import main
 import fermionant.verify as verify_module
 
-from conftest import triangle_plane
+from conftest import GOLDEN_VERIFY_SEED_42_SHA256, run_fresh, triangle_plane
 
 
 @pytest.fixture()
@@ -41,6 +43,19 @@ def test_ferm_subcommand(capsys, matrix_file):
     for algo in ("brute", "immanants"):
         code, out, _ = run(capsys, ["ferm", "--matrix", matrix_file, "--k", "2", "--algorithm", algo])
         assert json.loads(out)["fermionant"] == "2"
+
+
+def test_ferm_leaves_graph_polynomial_and_verify_modules_unloaded(matrix_file):
+    done = run_fresh(
+        "import json, sys; from fermionant.cli import main; code = main(sys.argv[1:]); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'fermionant'))); "
+        "sys.exit(code)",
+        "ferm", "--matrix", matrix_file, "--k", "2",
+    )
+    payload, loaded = done.stdout.splitlines()
+    assert json.loads(payload)["fermionant"] == "2"
+    unloaded = {"verify", "graphpoly", "generators", "hamilton", "transforms"}
+    assert not {f"fermionant.{name}" for name in unloaded} & set(json.loads(loaded)), loaded
 
 
 def test_imm_subcommand(capsys, matrix_file):
@@ -198,6 +213,14 @@ def test_parse_and_capacity_exit_codes(capsys, tmp_path):
     assert code == 3
     assert "capacity" in err
 
+    # 10^10 vertices used to be read, then exhaust memory in the Tutte kernel
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"kind": "multigraph", "num_vertices": 10**10, "edges": []}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, ["tutte", "--graph", str(huge)])
+    assert code == 3 and out == ""
+    assert err.startswith("capacity error: field 'num_vertices'")
+
     code, _, err = run(capsys, ["ferm", "--matrix", str(tmp_path / "none.json"), "--k", "1"])
     assert code == 2
 
@@ -245,6 +268,13 @@ def test_verify_subcommand_deterministic(capsys):
     code, out3, _ = run(capsys, ["verify", "--seed", "5", "--max-n", "3",
                                  "--max-edges", "3", "--trials", "3", "--json"])
     assert json.loads(out3) == doc
+
+
+def test_verify_without_size_options_runs_the_limits_defaults(capsys):
+    code, out, _ = run(capsys, ["verify", "--seed", "42"])
+    assert code == 0
+    assert json.loads(out)["limits"] == asdict(Limits())
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_SEED_42_SHA256
 
 
 def test_verify_capacity_exits_3_before_any_family(capsys, monkeypatch):

@@ -4,9 +4,6 @@ import json
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -22,6 +19,8 @@ from fermionant import (
 from fermionant.cli import main
 from fermionant.verify import Counterexample, IdentityResult, VerificationReport
 import fermionant.verify as verify_module
+
+from conftest import run_fresh
 
 
 SMALL = Limits(max_n=4, max_edges=4, trials=6, max_arcs=6)
@@ -280,11 +279,13 @@ def test_a_worker_killed_from_outside_raises_instead_of_hanging(pooled):
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():
-    src = Path(verify_module.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, fermionant.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = run_fresh(
+        "import sys, fermionant.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules))); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'fermionant'))"
+    )
+    # the subcommands import their modules when they run
+    assert out.stdout.splitlines() == ["[]", "['fermionant', 'fermionant.cli', 'fermionant.errors']"]
 
 
 def test_summary_lines_format_and_elapsed_total():
