@@ -272,16 +272,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
         return 3
     except ConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # FormatError included
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

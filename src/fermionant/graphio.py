@@ -217,9 +217,7 @@ def read_matrix(text: str) -> Matrix:
                 if not (digits.isascii() and digits.isdigit()):
                     raise FormatError(f"{where}: not a decimal integer: {value!r}")
                 row.append(_decimal_int(value))
-            elif isinstance(value, bool) or isinstance(value, float):
-                raise FormatError(f"{where}: expected an integer, got {value!r}")
-            elif isinstance(value, int):
+            elif type(value) is int:
                 if abs(value) > _SAFE_JSON_INT:
                     raise FormatError(
                         f"{where}: magnitudes above 2^53-1 must be decimal strings"

@@ -37,7 +37,7 @@ from .graphs import (
     Digraph,
     Multigraph,
     PlaneGraph,
-    _spanning_forest,
+    _fundamental_cycles,
     connected_components,
 )
 from .polynomials import BivarPolynomial, UniPolynomial
@@ -133,7 +133,7 @@ def _bridges(num_vertices: int, edges: list[tuple[int, int]]) -> set[int]:
     """Ids of bridge edges, the edges on no cycle.  Every edge outside the
     spanning forest lies on its own fundamental cycle, so these are the
     forest edges that no fundamental cycle covers."""
-    _, cycles = _spanning_forest(num_vertices, edges)
+    cycles = _fundamental_cycles(num_vertices, edges)
     on_cycle = 0
     for mask in cycles:
         on_cycle |= mask

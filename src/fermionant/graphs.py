@@ -26,8 +26,8 @@ included.)  Constructors reject rotation systems that violate it.
 Face tracing has one home here: ``faces`` and the plane-graph generators
 (on the rotation lists of an embedding under construction) share one walk.
 Connectivity has one home here too: one depth-first spanning forest gives
-the component labels and counts and the fundamental cycles that the bridge
-test and the bicycle space read.
+the component labels and counts, and its fundamental cycles, built only for
+the bridge test and the bicycle space that read them.
 
 All graph values are immutable; operations are pure functions.
 """
@@ -244,22 +244,20 @@ def _face_walks(
 
 def _spanning_forest(
     num_vertices: int, pairs: Sequence[tuple[int, int]]
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[tuple[int, int, int]]]:
     """The depth-first spanning forest of the graph on vertices
     0..num_vertices-1 with the given endpoint pairs, grown from each vertex
     not yet reached in vertex order.  Returns each vertex's component label,
     0, 1, ... in order of the component's first vertex (isolated vertices
-    included), and the fundamental-cycle bitmasks (bit i = pair i): one per
-    pair outside the forest, loops included, in pair order.  The cycles form
-    a basis of the cycle space, and a pair lies on some cycle exactly when
-    one of them covers it."""
+    included), and the forest as (vertex, parent, pair id) triples, one per
+    non-root vertex in the order the search reaches them, so a parent comes
+    before its children.  Time and memory are linear in the graph's size."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
     for eid, (u, v) in enumerate(pairs):
         adjacency[u].append((v, eid))
         adjacency[v].append((u, eid))
     labels = [-1] * num_vertices
-    root_path = [0] * num_vertices  # tree-path mask from each vertex to its root
-    forest = 0
+    forest = []
     count = 0
     for start in range(num_vertices):
         if labels[start] >= 0:
@@ -271,16 +269,29 @@ def _spanning_forest(
             for y, eid in adjacency[x]:
                 if labels[y] < 0:
                     labels[y] = count
-                    root_path[y] = root_path[x] ^ (1 << eid)
-                    forest |= 1 << eid
+                    forest.append((y, x, eid))
                     stack.append(y)
         count += 1
-    cycles = [
+    return labels, forest
+
+
+def _fundamental_cycles(num_vertices: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """The fundamental-cycle bitmasks of the spanning forest (bit i = pair
+    i): one per pair outside the forest, loops included, in pair order.  The
+    cycles form a basis of the cycle space, and a pair lies on some cycle
+    exactly when one of them covers it.  Each vertex's tree path to its root
+    is a mask here, so the cost grows with vertices times pairs."""
+    _, forest = _spanning_forest(num_vertices, pairs)
+    root_path = [0] * num_vertices
+    in_forest = set()
+    for v, parent, eid in forest:
+        root_path[v] = root_path[parent] ^ (1 << eid)
+        in_forest.add(eid)
+    return [
         root_path[u] ^ root_path[v] ^ (1 << eid)
         for eid, (u, v) in enumerate(pairs)
-        if not forest >> eid & 1
+        if eid not in in_forest
     ]
-    return labels, cycles
 
 
 def connected_components(graph: Multigraph | Digraph) -> tuple[int, list[int]]:

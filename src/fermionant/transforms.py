@@ -28,15 +28,18 @@ unbounded, so one "word" per row covers any edge count).
 
 from __future__ import annotations
 
+from .errors import CapacityError
 from .graphs import (
     Digraph,
     Multigraph,
     PlaneGraph,
-    _spanning_forest,
+    _fundamental_cycles,
     adjacency_matrix,
     connected_components,
     faces,
 )
+
+BICYCLE_MAX_EDGES = 10**4
 
 
 def medial(plane: PlaneGraph) -> Digraph:
@@ -55,13 +58,13 @@ def medial(plane: PlaneGraph) -> Digraph:
 
 
 def line_digraph(graph: Digraph) -> Digraph:
-    """One vertex per arc; arc a -> b whenever head(a) = tail(b)."""
+    """One vertex per arc; arc a -> b whenever head(a) = tail(b), listed
+    by a and then b.  Each arc a reads only the arcs leaving head(a)."""
     arcs = graph.arcs
-    out = []
-    for a, (_, head) in enumerate(arcs):
-        for b, (tail, _) in enumerate(arcs):
-            if head == tail:
-                out.append((a, b))
+    leaving: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    for b, (tail, _) in enumerate(arcs):
+        leaving[tail].append(b)
+    out = [(a, b) for a, (_, head) in enumerate(arcs) for b in leaving[head]]
     return Digraph(len(arcs), tuple(out))
 
 
@@ -87,12 +90,20 @@ def bicycle_dimension(graph: Multigraph) -> int:
     fundamental cycles as a basis, one per edge off the forest, and the cut
     space has dimension the forest's edge count, so dim U + dim W = |E|;
     U + W is spanned by those cycles and every vertex star.  A loop's bit is
-    flipped twice at its one vertex, so it vanishes from the stars."""
+    flipped twice at its one vertex, so it vanishes from the stars.
+
+    Every row is a bitmask as wide as the edge count and the elimination
+    may reduce each row by every pivot, so more than ``BICYCLE_MAX_EDGES``
+    edges raise ``CapacityError`` before any work."""
+    if graph.num_edges > BICYCLE_MAX_EDGES:
+        raise CapacityError(
+            f"bicycle dimension limited to {BICYCLE_MAX_EDGES} edges, got {graph.num_edges}"
+        )
     stars = [0] * graph.num_vertices
     for eid, (a, b) in enumerate(graph.edges):
         stars[a] ^= 1 << eid
         stars[b] ^= 1 << eid
-    _, cycles = _spanning_forest(graph.num_vertices, graph.edges)
+    cycles = _fundamental_cycles(graph.num_vertices, graph.edges)
     return graph.num_edges - _gf2_rank(cycles + stars)
 
 

@@ -220,16 +220,20 @@ def _i3_schur_weyl(seed: int, limits: Limits) -> _Checks:
                 yield lambda n=n, k=k, mu=mu: {"n": n, "k": k, "cycle_type": str(mu)}, check
 
 
-def _plane_instances(seed: int, family: int, count: int, max_edges: int):
-    for i in range(count):
-        yield generate_plane_graph(_child_seed(seed, family, i), max_edges)
+def _plane_graphs(
+    seed: int, family: int, limits: Limits, small: int, count: int, large: int
+) -> list[PlaneGraph]:
+    """Every plane graph of at most min(small, max_edges) edges, then
+    ``count`` seeded draws of at most min(large, max_edges) edges."""
+    large = min(large, limits.max_edges)
+    return exhaustive_plane_graphs(min(small, limits.max_edges)) + [
+        generate_plane_graph(_child_seed(seed, family, i), large) for i in range(count)
+    ]
 
 
-def _i4_martin(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
-    small = exhaustive_plane_graphs(min(5, limits.max_edges))
-    randoms = _plane_instances(seed, 4, 2 * limits.trials, limits.max_edges)
-    for g in list(small) + list(randoms):
-        yield partial(_describe, g), lambda g=g: (circuit_partition_poly(medial_fn(g)), martin_rhs(g))
+def _i4_martin(seed: int, limits: Limits) -> _Checks:
+    for g in _plane_graphs(seed, 4, limits, 5, 2 * limits.trials, limits.max_edges):
+        yield partial(_describe, g), lambda g=g: (circuit_partition_poly(medial(g)), martin_rhs(g))
 
 
 def _line_digraph_sides(h: Digraph) -> tuple[UniPolynomial, Matrix]:
@@ -237,7 +241,7 @@ def _line_digraph_sides(h: Digraph) -> tuple[UniPolynomial, Matrix]:
     return circuit_partition_poly(h), adjacency_matrix(line_digraph(h))
 
 
-def _i5_line_digraph(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
+def _i5_line_digraph(seed: int, limits: Limits) -> _Checks:
     for i in range(2 * limits.trials):
         h = generate_eulerian_digraph(_child_seed(seed, 5, i), limits.max_arcs)
         sign = -1 if h.num_arcs % 2 else 1
@@ -250,9 +254,8 @@ def _i5_line_digraph(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph]
 
             yield partial(_describe, h, k=k), check
     # medial instances: even arc count makes the sign vacuous
-    for i in range(limits.trials):
-        g = generate_plane_graph(_child_seed(seed, 55, i), min(4, limits.max_edges))
-        sides = cache(lambda g=g: _line_digraph_sides(medial_fn(g)))
+    for g in _plane_graphs(seed, 55, limits, 0, limits.trials, 4):
+        sides = cache(lambda g=g: _line_digraph_sides(medial(g)))
         for k in (1, 2, 3):
 
             def check(sides=sides, k=k):
@@ -262,11 +265,9 @@ def _i5_line_digraph(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph]
             yield partial(_describe, g, k=k, medial=True), check
 
 
-def _i6_headline(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
-    small = exhaustive_plane_graphs(min(4, limits.max_edges))
-    randoms = _plane_instances(seed, 6, limits.trials, min(6, limits.max_edges))
-    for g in list(small) + list(randoms):
-        a_me = cache(lambda g=g: adjacency_matrix(line_digraph(medial_fn(g))))
+def _i6_headline(seed: int, limits: Limits) -> _Checks:
+    for g in _plane_graphs(seed, 6, limits, 4, limits.trials, 6):
+        a_me = cache(lambda g=g: adjacency_matrix(line_digraph(medial(g))))
         for k in (1, 2, 3):
 
             def check(g=g, a_me=a_me, k=k):
@@ -291,10 +292,8 @@ def _i7_parity(seed: int, limits: Limits) -> _Checks:
         yield partial(_describe, g, n=n, p=p), check
 
 
-def _i8_bicycle(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any]) -> _Checks:
-    small = exhaustive_plane_graphs(min(4, limits.max_edges))
-    randoms = list(_plane_instances(seed, 8, limits.trials, limits.max_edges))
-    for g in small + randoms:
+def _i8_bicycle(seed: int, limits: Limits) -> _Checks:
+    for g in _plane_graphs(seed, 8, limits, 4, limits.trials, limits.max_edges):
         graph = g.graph
 
         def check(graph=graph):
@@ -302,29 +301,35 @@ def _i8_bicycle(seed: int, limits: Limits, medial_fn: Callable[[PlaneGraph], Any
             return tutte(graph)(-1, -1), rhs
 
         yield partial(_describe, graph), check
-    plane_small = exhaustive_plane_graphs(min(3, limits.max_edges))
-    plane_randoms = list(_plane_instances(seed, 88, limits.trials, min(5, limits.max_edges)))
-    for g in plane_small + plane_randoms:
+    for g in _plane_graphs(seed, 88, limits, 3, limits.trials, 5):
 
         def check(g=g):
-            lhs = fermionant(adjacency_matrix(line_digraph(medial_fn(g))), 2, "dp")
+            lhs = fermionant(adjacency_matrix(line_digraph(medial(g))), 2, "dp")
             return lhs, ferm2_medial_closed_form(g)
 
         yield partial(_describe, g, closed_form=True), check
 
 
-# A family's name and its stream of checks, not yet started.
-_Family = tuple[str, _Checks]
+# The eight families in report order: a name and the maker of its checks.
+# Pool workers get the table entries by pickle, which names each maker by
+# reference, and inherit the module by fork, so a ``medial`` patched on this
+# module before the suite starts is the one the workers call.
+_Maker = Callable[[int, Limits], _Checks]
+_FAMILIES: tuple[tuple[str, _Maker], ...] = (
+    ("ferm1-equals-det", _i1_determinant),
+    ("fermionant-route-agreement", _i2_agreement),
+    ("schur-weyl-multiplicities", _i3_schur_weyl),
+    ("martin-circuit-partition", _i4_martin),
+    ("line-digraph-fermionant", _i5_line_digraph),
+    ("medial-tutte-headline", _i6_headline),
+    ("ferm2-hamiltonian-parity", _i7_parity),
+    ("bicycle-tutte-point", _i8_bicycle),
+)
 
-# The suite a pool worker runs, filled in each worker as it starts.  Families
-# reach workers by fork inheritance, never by pickle, so a medial_fn that
-# cannot be pickled (a lambda, a local function) still works.
-_worker_families: list[_Family] = []
 
-
-def _run_indexed(index: int) -> IdentityResult:
-    name, checks = _worker_families[index]
-    return _run_family(name, checks)
+def _run_entry(seed: int, limits: Limits, entry: tuple[str, _Maker]) -> IdentityResult:
+    name, maker = entry
+    return _run_family(name, maker(seed, limits))
 
 
 def _usable_cpus() -> int:
@@ -333,16 +338,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_families(families: list[_Family]) -> list[IdentityResult]:
+def _run_families(seed: int, limits: Limits) -> list[IdentityResult]:
     """Run each family to its result, in family order.
 
     Families are handed to the workers in order, one at a time, so the
     second worker starts the long I2 while the first finishes the short I1.
     An exception a family raises outside its checks reaches the caller with
-    its type and message.  A worker that dies (killed, or a hook that exits)
-    raises ``ChildProcessError`` instead of hanging.  No worker is left
-    running when this returns or raises."""
-    workers = min(len(families), _usable_cpus())
+    its type and message.  A worker that dies (killed, or a patched function
+    that exits) raises ``ChildProcessError`` instead of hanging.  No worker
+    is left running when this returns or raises."""
+    run = partial(_run_entry, seed, limits)
+    workers = min(len(_FAMILIES), _usable_cpus())
     if workers > 1:
         import multiprocessing  # only here: importing the CLI stays cheap
 
@@ -350,42 +356,40 @@ def _run_families(families: list[_Family]) -> list[IdentityResult]:
             from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
             context = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(workers, context, _worker_families.extend, (families,))
+            pool = ProcessPoolExecutor(workers, context)
             try:
-                return list(pool.map(_run_indexed, range(len(families))))
+                return list(pool.map(run, _FAMILIES))
             except BrokenProcessPool:
                 raise ChildProcessError("a verify worker died mid-family") from None
             finally:
                 pool.shutdown(cancel_futures=True)
-    return [_run_family(name, checks) for name, checks in families]
+    return [run(entry) for entry in _FAMILIES]
 
 
-def verify_suite(
-    seed: int,
-    limits: Limits | None = None,
-    *,
-    medial_fn: Callable[[PlaneGraph], Any] | None = None,
-) -> VerificationReport:
+# m arcs have at most m! transition systems, and m loops at one vertex have
+# m!; m is taken no larger than DP_MAX_N, as I5 runs the dp on m-vertex line
+# digraphs.
+_MAX_ARCS = max(m for m in range(DP_MAX_N + 1) if factorial(m) <= TRANSITION_MAX_SYSTEMS)
+
+
+def verify_suite(seed: int, limits: Limits | None = None) -> VerificationReport:
     """Run identity families I1-I8; deterministic in (seed, limits).
 
     Raises ``CapacityError`` before any family runs when a limit exceeds
     the capacity bound of the route it feeds: ``max_n`` the brute and
     immanant routes of I2, ``max_edges`` deletion-contraction Tutte (I4, I8)
-    and ``max_arcs`` both the dp on the line digraph (I5), whose vertices
-    are arcs, and the transition-system cap ``TRANSITION_MAX_SYSTEMS`` of
-    j(G; z) (I5): m arcs have at most m! systems, so ``max_arcs`` is capped
-    at the largest m with m! within it (10).
+    and ``max_arcs`` the transition-system cap of j(G; z) (I5), ``_MAX_ARCS``
+    (10), which also keeps I5's line digraphs within the dp.
     A capacity limit is thus never reported as an identity violation.
     A limit that is not an int (a bool or a float included), ``max_n``
     below 2, or ``max_edges``, ``trials`` or ``max_arcs`` below 1, raises
     ``ValueError``, also before any family runs, so every family checks at
     least one instance.
 
-    ``medial_fn`` substitutes the medial construction in the families that
-    use one; it exists so tests can confirm the harness catches a corrupted
-    transform.  Where the families run on worker processes, ``medial_fn``
-    runs inside the workers, so its side effects (appending to a list, say)
-    happen there and do not reach the caller.
+    The families that build a medial graph (I4, I5, I6, I8) call this
+    module's ``medial``, which tests patch with a corrupted transform.  With
+    workers the patched function runs inside them, so its side effects
+    (appending to a list, say) do not reach the caller.
 
     ``wall_time_s`` of the report is the suite's elapsed time, which with
     workers is less than the sum of the family times.
@@ -397,14 +401,7 @@ def verify_suite(
     for name, value, cap, route in (
         ("max_n", limits.max_n, BRUTE_MAX_N, "the brute and immanant routes"),
         ("max_edges", limits.max_edges, TUTTE_MAX_EDGES, "deletion-contraction Tutte"),
-        ("max_arcs", limits.max_arcs, DP_MAX_N, "the dp fermionant of the line digraph"),
-        # m arcs have at most m! transition systems, and m loops at one vertex have m!
-        (
-            "max_arcs",
-            limits.max_arcs,
-            max(m for m in range(DP_MAX_N + 1) if factorial(m) <= TRANSITION_MAX_SYSTEMS),
-            "the transition-system count of j(G; z)",
-        ),
+        ("max_arcs", limits.max_arcs, _MAX_ARCS, "the transition-system count of j(G; z)"),
     ):
         if value > cap:
             raise CapacityError(f"verify {name} limited to {cap} by {route}, got {value}")
@@ -417,17 +414,6 @@ def verify_suite(
     ):
         if value < least:
             raise ValueError(f"verify {name} must be at least {least}, got {value}")
-    md = medial_fn if medial_fn is not None else medial
-    families = [
-        ("ferm1-equals-det", _i1_determinant(seed, limits)),
-        ("fermionant-route-agreement", _i2_agreement(seed, limits)),
-        ("schur-weyl-multiplicities", _i3_schur_weyl(seed, limits)),
-        ("martin-circuit-partition", _i4_martin(seed, limits, md)),
-        ("line-digraph-fermionant", _i5_line_digraph(seed, limits, md)),
-        ("medial-tutte-headline", _i6_headline(seed, limits, md)),
-        ("ferm2-hamiltonian-parity", _i7_parity(seed, limits)),
-        ("bicycle-tutte-point", _i8_bicycle(seed, limits, md)),
-    ]
     start = time.perf_counter()
-    identities = _run_families(families)
+    identities = _run_families(seed, limits)
     return VerificationReport(seed, limits, identities, time.perf_counter() - start)

@@ -14,6 +14,7 @@ from fermionant import (
     Multigraph,
     Partition,
     PlaneGraph,
+    bicycle_dimension,
     circuit_partition_poly,
     count_hamiltonian_cycles,
     cycle_type_weight_sums,
@@ -29,6 +30,7 @@ from fermionant import (
     tutte_subgraph_sum,
 )
 from fermionant.graphio import GRAPH_MAX_VERTICES
+from fermionant.transforms import BICYCLE_MAX_EDGES
 
 from conftest import cycle_graph
 
@@ -45,7 +47,8 @@ def banana(m: int) -> Multigraph:
 
 # One past each bound: brute (class sums) n <= 10, dp and permanent n <= 20,
 # Hamiltonian counting n <= 18, deletion-contraction 14 edges, subgraph sum
-# 16 edges, transition systems 10^7, graph documents 10^6 vertices.
+# 16 edges, transition systems 10^7, graph documents 10^6 vertices, bicycle
+# dimension 10^4 edges.
 # Hamiltonian parity's early dp check is tested in test_hamilton.py, where
 # the matrix build is made to fail.
 BRUTE_PAST = Matrix.identity(11)
@@ -63,6 +66,7 @@ PAST_THE_BOUND = {
     "martin-rhs": lambda: martin_rhs(path_plane(15)),
     "subgraph-sum": lambda: tutte_subgraph_sum(banana(17)),
     "diagonal": lambda: tutte_diagonal(banana(17), 3),
+    "bicycle": lambda: bicycle_dimension(banana(BICYCLE_MAX_EDGES + 1)),
     # a bouquet of d loops has d! transition systems: 10! < 10^7 < 11!
     "transition-systems": lambda: circuit_partition_poly(Digraph(1, ((0, 0),) * 11)),
     # checked before the edges, which here would be a FormatError

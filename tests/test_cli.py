@@ -9,6 +9,7 @@ import pytest
 
 from fermionant import Digraph, Limits, medial, read_graph, write_graph, write_matrix, Matrix
 from fermionant.cli import main
+from fermionant.transforms import BICYCLE_MAX_EDGES
 import fermionant.verify as verify_module
 
 from conftest import GOLDEN_VERIFY_SEED_42_SHA256, run_fresh, triangle_plane
@@ -220,6 +221,17 @@ def test_parse_and_capacity_exit_codes(capsys, tmp_path):
     code, out, err = run(capsys, ["tutte", "--graph", str(huge)])
     assert code == 3 and out == ""
     assert err.startswith("capacity error: field 'num_vertices'")
+
+    # a path one edge past the bicycle bound is rejected before any row is built
+    m = BICYCLE_MAX_EDGES + 1
+    path = tmp_path / "path.json"
+    edges = [[i, i + 1] for i in range(m)]
+    path.write_text(
+        json.dumps({"kind": "multigraph", "num_vertices": m + 1, "edges": edges}), encoding="utf-8"
+    )
+    code, out, err = run(capsys, ["bicycle-dim", "--graph", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith(f"capacity error: bicycle dimension limited to {m - 1} edges")
 
     code, _, err = run(capsys, ["ferm", "--matrix", str(tmp_path / "none.json"), "--k", "1"])
     assert code == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import pytest
 
@@ -177,3 +178,17 @@ def test_every_constructor_rejection(case):
     call, error, fragment = REJECTIONS[case]
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+def test_connected_components_of_a_long_path_stays_linear_in_memory():
+    # a root-path bitmask per vertex would hold n^2/2 bits, 100 MB here
+    n = 40_000
+    path = Multigraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    tracemalloc.start()
+    try:
+        count, labels = connected_components(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1 and labels == [0] * n
+    assert peak < 25 * 2**20

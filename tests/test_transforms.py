@@ -77,6 +77,25 @@ def test_line_digraph_degrees():
         assert ld.out_degree(a) == d.out_degree(head)
 
 
+def test_line_digraph_is_the_pairwise_definition():
+    # seeded digraphs, not only Eulerian ones: loops, parallel arcs, sinks
+    rng = random.Random(29)
+    loops = parallels = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        arcs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14)))
+        loops += any(u == v for u, v in arcs)
+        parallels += len(set(arcs)) < len(arcs)
+        pairwise = tuple(
+            (a, b)
+            for a, (_, head) in enumerate(arcs)
+            for b, (tail, _) in enumerate(arcs)
+            if head == tail
+        )
+        assert line_digraph(Digraph(n, arcs)) == Digraph(len(arcs), pairwise), arcs
+    assert loops and parallels
+
+
 def test_signed_line_digraph_identity():
     for seed in range(120):
         h = generate_eulerian_digraph(seed, 8)

@@ -92,8 +92,9 @@ def corrupt_medial(plane):
     return m
 
 
-def test_corrupted_medial_is_caught():
-    report = verify_suite(7, SMALL, medial_fn=corrupt_medial)
+def test_corrupted_medial_is_caught(monkeypatch):
+    monkeypatch.setattr(verify_module, "medial", corrupt_medial)
+    report = verify_suite(7, SMALL)
     assert not report.all_passed
     martin = next(r for r in report.identities if r.name == "martin-circuit-partition")
     assert martin.counterexample is not None
@@ -123,7 +124,8 @@ def test_passing_suite_builds_no_instance_document(monkeypatch, tmp_path, pooled
     assert report.all_passed
     assert calls() == []
     # the spy does see documents built in the workers
-    report = verify_suite(1, SMALL, medial_fn=corrupt_medial)
+    monkeypatch.setattr(verify_module, "medial", corrupt_medial)
+    report = verify_suite(1, SMALL)
     assert calls() == ["write_graph"] * sum(r.counterexample is not None for r in report.identities)
     assert calls()
 
@@ -143,7 +145,8 @@ _CORRUPT_INSTANCES = {
 
 def test_one_instance_document_per_family_with_a_counterexample(monkeypatch, tmp_path, pooled):
     calls = _count_documents(monkeypatch, tmp_path)
-    report = verify_suite(7, SMALL, medial_fn=corrupt_medial)
+    monkeypatch.setattr(verify_module, "medial", corrupt_medial)
+    report = verify_suite(7, SMALL)
     found = {r.name: r.counterexample.instance for r in report.identities if r.counterexample}
     assert found == _CORRUPT_INSTANCES
     # the payload's bytes depend on key order, which == on dicts ignores
@@ -156,7 +159,9 @@ def test_one_instance_document_per_family_with_a_counterexample(monkeypatch, tmp
 _I4_ONLY = generate_plane_graph(verify_module._child_seed(7, 4, 2), SMALL.max_edges)
 
 
-def test_raising_check_is_charged_to_its_instance_and_the_family_goes_on(tmp_path, pooled):
+def test_raising_check_is_charged_to_its_instance_and_the_family_goes_on(
+    monkeypatch, tmp_path, pooled
+):
     clean = {r.name: r for r in verify_suite(7, SMALL).identities}
     target = write_graph(_I4_ONLY).strip()
     record, raised = _call_log(tmp_path, "raised")
@@ -167,7 +172,8 @@ def test_raising_check_is_charged_to_its_instance_and_the_family_goes_on(tmp_pat
             raise RuntimeError("medial failed")
         return medial(plane)
 
-    report = verify_suite(7, SMALL, medial_fn=flaky_medial)
+    monkeypatch.setattr(verify_module, "medial", flaky_medial)
+    report = verify_suite(7, SMALL)
     assert raised() == [target]
     martin = next(r for r in report.identities if r.name == "martin-circuit-partition")
     assert martin.instances == clean[martin.name].instances
@@ -180,7 +186,7 @@ def test_raising_check_is_charged_to_its_instance_and_the_family_goes_on(tmp_pat
             assert r.to_json() == clean[r.name].to_json()
 
 
-def test_medial_fn_hook_uses_module_default(monkeypatch, tmp_path, pooled):
+def test_medial_families_call_the_module_medial(monkeypatch, tmp_path, pooled):
     record, calls = _call_log(tmp_path, "medial")
     real = verify_module.medial
 
@@ -208,15 +214,19 @@ def test_pooled_families_run_in_worker_processes(monkeypatch, tmp_path, pooled):
 
 
 @pytest.mark.parametrize(
-    "seed, medial_fn, counterexamples",
+    "seed, patched_medial, counterexamples",
     [(0, None, 0), (5, None, 0), (7, None, 0), (11, None, 0), (7, corrupt_medial, 3)],
 )
-def test_pooled_payload_equals_in_process_payload(monkeypatch, seed, medial_fn, counterexamples):
+def test_pooled_payload_equals_in_process_payload(
+    monkeypatch, seed, patched_medial, counterexamples
+):
+    if patched_medial is not None:
+        monkeypatch.setattr(verify_module, "medial", patched_medial)
     monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
-    alone = verify_suite(seed, SMALL, medial_fn=medial_fn).to_json()
+    alone = verify_suite(seed, SMALL).to_json()
     assert sum(r["counterexample"] is not None for r in alone["identities"]) == counterexamples
     monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
-    pooled = verify_suite(seed, SMALL, medial_fn=medial_fn).to_json()
+    pooled = verify_suite(seed, SMALL).to_json()
     assert json.dumps(pooled) == json.dumps(alone)
 
 
@@ -258,23 +268,25 @@ def test_no_worker_outlives_the_suite(monkeypatch, pooled):
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
-def test_a_worker_that_dies_raises_instead_of_hanging(pooled):
-    # in-process, this hook would end the test run itself
+def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch, pooled):
+    # in-process, this patch would end the test run itself
     def exiting_medial(plane):
         os._exit(3)
 
+    monkeypatch.setattr(verify_module, "medial", exiting_medial)
     with pytest.raises(ChildProcessError, match="worker died"):
-        verify_suite(2, SMALL, medial_fn=exiting_medial)
+        verify_suite(2, SMALL)
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
-def test_a_worker_killed_from_outside_raises_instead_of_hanging(pooled):
+def test_a_worker_killed_from_outside_raises_instead_of_hanging(monkeypatch, pooled):
     def killed_medial(plane):
         os.kill(os.getpid(), signal.SIGKILL)
 
+    monkeypatch.setattr(verify_module, "medial", killed_medial)
     with pytest.raises(ChildProcessError, match="worker died"):
-        verify_suite(2, SMALL, medial_fn=killed_medial)
+        verify_suite(2, SMALL)
     assert multiprocessing.active_children() == []
 
 
