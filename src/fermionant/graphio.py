@@ -36,11 +36,13 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import CapacityError, FormatError
 from .graphs import Digraph, Multigraph, PlaneGraph
-from .matrixfn import Matrix
+
+if TYPE_CHECKING:
+    from .matrixfn import Matrix
 
 _SAFE_JSON_INT = 2**53 - 1
 
@@ -88,9 +90,12 @@ def _decimal_int(text: str) -> int:
     return int(Decimal(text))
 
 
-def _require_int(value: Any, where: str) -> int:
+def _require_int(value: Any, where: str, *args: Any) -> int:
+    """``value`` if it is an int and not a bool.  Otherwise a FormatError
+    labelled ``where.format(*args)``, a label built only on this path, as
+    valid documents call this once per integer they hold."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{where}: expected an integer, got {value!r}")
+        raise FormatError(f"{where.format(*args)}: expected an integer, got {value!r}")
     return value
 
 
@@ -101,8 +106,8 @@ def _edge_pairs(raw: Any, num_vertices: int) -> tuple[tuple[int, int], ...]:
     for i, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2):
             raise FormatError(f"field 'edges', entry {i}: expected a pair [u, v]")
-        u = _require_int(item[0], f"field 'edges', entry {i}")
-        v = _require_int(item[1], f"field 'edges', entry {i}")
+        u = _require_int(item[0], "field 'edges', entry {}", i)
+        v = _require_int(item[1], "field 'edges', entry {}", i)
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise FormatError(
                 f"field 'edges', entry {i}: endpoint out of range for {num_vertices} vertices"
@@ -147,8 +152,8 @@ def read_graph(text: str) -> Multigraph | Digraph | PlaneGraph:
         for item in rot:
             if not (isinstance(item, list) and len(item) == 2):
                 raise FormatError(f"field 'rotations', vertex {v}: expected pairs [edge_id, end]")
-            e = _require_int(item[0], f"field 'rotations', vertex {v}")
-            s = _require_int(item[1], f"field 'rotations', vertex {v}")
+            e = _require_int(item[0], "field 'rotations', vertex {}", v)
+            s = _require_int(item[1], "field 'rotations', vertex {}", v)
             if not 0 <= e < len(pairs):
                 raise FormatError(f"field 'rotations', vertex {v}: unknown edge id {e}")
             if s not in (0, 1):
@@ -190,7 +195,10 @@ def write_graph(graph: Multigraph | Digraph | PlaneGraph) -> str:
 
 
 def read_matrix(text: str) -> Matrix:
-    """Parse a matrix document."""
+    """Parse a matrix document.  The matrix code is imported here, on first
+    use, so that reading a graph never loads it."""
+    from .matrixfn import Matrix
+
     doc = _load_json(text, "matrix document")
     if not isinstance(doc, dict):
         raise FormatError("matrix document: expected a JSON object")

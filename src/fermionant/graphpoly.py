@@ -19,9 +19,11 @@ generating function sum of r_t z^t, where r_t counts the transition systems
 (one bijection from in-arcs to out-arcs at every vertex) whose induced arc
 decomposition has exactly t closed walks.  r_1 is the number of Eulerian
 circuits.  An arcless digraph yields the constant 1 (empty product).  The
-systems are visited one by one, by a depth-first search in which each arc
-picks a free out-arc of its head, and each system adds one to the count of
-its circuit number; arcs with no choice are linked before the search.
+systems are counted by a depth-first search that settles one vertex's
+bijection at a time, each arc picking a free out-arc of its head; arcs with
+no choice are linked before the search, and the last vertex with a choice is
+closed without one: its d! bijections add the Stirling numbers of the first
+kind c(d, j) to the counts.
 
 For a plane graph G with directed medial G_m these meet in Martin's
 identity:  j(G_m; z) = z^(c(G)) * T(G; z+1, z+1), valid when G has no
@@ -59,13 +61,16 @@ def _subgraph_tally(graph: Multigraph) -> dict[tuple[int, int], int]:
     loop or an edge inside one component, only bumps |S|.  After its last
     edge a vertex drops out of the labelling, and a component left with no
     labelled vertex is counted closed, so choices that differ only among
-    finished vertices share a state.  c(S) is the closed count plus the
-    edgeless vertices.  Both subgraph-sum routes meet their edge bound here."""
-    n = graph.num_vertices
-    edges = graph.edges
-    if len(edges) > SUBGRAPH_SUM_MAX_EDGES:
-        raise CapacityError(f"subgraph sum limited to {SUBGRAPH_SUM_MAX_EDGES} edges, got {len(edges)}")
+    finished vertices share a state.  The edgeless vertices are left out of
+    the labelling, the rest numbered in order of first appearance, and c(S)
+    is the closed count plus the edgeless vertices.  Both subgraph-sum
+    routes meet their edge bound here."""
+    if graph.num_edges > SUBGRAPH_SUM_MAX_EDGES:
+        raise CapacityError(f"subgraph sum limited to {SUBGRAPH_SUM_MAX_EDGES} edges, got {graph.num_edges}")
     c_full, _ = connected_components(graph)
+    label: dict[int, int] = {}
+    edges = [(label.setdefault(u, len(label)), label.setdefault(v, len(label))) for u, v in graph.edges]
+    n = len(label)
     last_edge = {}
     for e, (u, v) in enumerate(edges):
         last_edge[u] = last_edge[v] = e
@@ -104,12 +109,12 @@ def _subgraph_tally(graph: Multigraph) -> dict[tuple[int, int], int]:
             for key, count in counts.items():
                 out[key + shift] = out.get(key + shift, 0) + count
         states = nxt
-    edgeless = n - len(last_edge)
+    edgeless = graph.num_vertices - n
     tally: dict[tuple[int, int], int] = {}
     for counts in states.values():
         for key, count in counts.items():
             c = key // step + edgeless
-            pair = (c - c_full, c + key % step - n)
+            pair = (c - c_full, c + key % step - graph.num_vertices)
             tally[pair] = tally.get(pair, 0) + count
     return tally
 
@@ -145,6 +150,8 @@ def tutte(graph: Multigraph) -> BivarPolynomial:
 
     Recurses on the highest-id edge that is neither a loop nor a bridge;
     once only loops and bridges remain the value is x^bridges * y^loops.
+    Isolated vertices leave T unchanged, so the recursion sees only the
+    vertices with an edge, numbered in order of first appearance.
     Deterministic, no isomorphism caching.
     """
     if graph.num_edges > TUTTE_MAX_EDGES:
@@ -175,7 +182,9 @@ def tutte(graph: Multigraph) -> BivarPolynomial:
         contracted = [(relabel(a), relabel(b)) for a, b in deleted]
         return rec(n, deleted) + rec(n - 1, contracted)
 
-    return rec(graph.num_vertices, list(graph.edges))
+    label: dict[int, int] = {}
+    edges = [(label.setdefault(u, len(label)), label.setdefault(v, len(label))) for u, v in graph.edges]
+    return rec(len(label), edges)
 
 
 def tutte_diagonal(graph: Multigraph, x: int) -> int:
@@ -188,6 +197,15 @@ def tutte_diagonal(graph: Multigraph, x: int) -> int:
     return sum(count * (x - 1) ** (a + b) for (a, b), count in _subgraph_tally(graph).items())
 
 
+def _stirling_cycles(d: int) -> list[int]:
+    """c(d, j) for j = 0..d: the permutations of d things with j cycles, the
+    coefficients of the rising factorial z(z+1)...(z+d-1)."""
+    row = [1]
+    for i in range(d):
+        row = [i * c + lower for c, lower in zip([*row, 0], [0, *row])]
+    return row
+
+
 def _count_systems(arcs: tuple[tuple[int, int], ...], out_arcs: list[list[int]]) -> list[int]:
     """counts[c]: the transition systems with c circuits of a balanced
     digraph with at least one arc.
@@ -195,10 +213,19 @@ def _count_systems(arcs: tuple[tuple[int, int], ...], out_arcs: list[list[int]])
     The placed pairs arc -> out-arc of its head form chains head -> ... ->
     tail.  An arc into a vertex of out-degree 1 is that vertex's only
     in-arc, so its pair is placed before the search, which recurses only
-    through the arcs with a choice.  An arc not yet placed is always a tail
-    and a free arc always a head, so each pick closes a circuit or joins two
-    chains in O(1), and is undone on return.  Balance leaves every pick a
-    free out-arc, and leaves the last chooser only the head of its own chain.
+    through the arcs with a choice, grouped by head vertex in id order, so
+    that it settles one vertex's bijection at a time.  An arc not yet placed
+    is always a tail and a free arc always a head, so each pick closes a
+    circuit or joins two chains in O(1), and is undone on return.  Balance
+    leaves every pick a free out-arc.
+
+    The search stops before v, the last vertex with a choice.  There v's d
+    out-arcs are the free heads and its d in-arcs the open tails, so the
+    chains pair them by some bijection pi; v's own bijection sigma closes
+    them into the cycles of sigma o pi, which runs over all of S_d as sigma
+    does.  So each partial system with ``closed`` circuits stands for c(d, j)
+    systems with closed + j circuits, and the search only tallies the
+    partial systems by ``closed``.
     """
     m = len(arcs)
     head = list(range(m))  # head[t] of the chain ending at tail t
@@ -223,13 +250,16 @@ def _count_systems(arcs: tuple[tuple[int, int], ...], out_arcs: list[list[int]])
     if not choosers:  # the forced pairs are a bijection, all circuits closed
         counts[closed] = 1
         return counts
-    order = choosers[:-1]
+    choosers.sort(key=lambda a: arcs[a][1])  # stable: arc-id order within a vertex
+    last_degree = len(out_arcs[arcs[choosers[-1]][1]])
+    order = choosers[:-last_degree]
     options = [out_arcs[arcs[a][1]] for a in order]
     depth = len(order)
+    tally = [0] * (m + 1)  # tally[c]: searched partial systems with c circuits closed
 
     def extend(d: int, closed: int) -> None:
         if d == depth:
-            counts[closed + 1] += 1
+            tally[closed] += 1
             return
         i = order[d]
         h = head[i]
@@ -253,6 +283,11 @@ def _count_systems(arcs: tuple[tuple[int, int], ...], out_arcs: list[list[int]])
     # the search state now rather than at the next cyclic collection, which
     # otherwise lets one dead state per call pile up and raise peak memory
     del extend
+    cycles = _stirling_cycles(last_degree)
+    for c, count in enumerate(tally):
+        if count:
+            for j in range(1, last_degree + 1):
+                counts[c + j] += count * cycles[j]
     return counts
 
 
@@ -262,9 +297,11 @@ def circuit_partition_poly(graph: Digraph) -> UniPolynomial:
     Requires in-degree = out-degree at every vertex, checked at every vertex
     before the system count.  A transition system is a permutation of the
     arcs sending each arc to an out-arc of its head, and its circuits are
-    the permutation's cycles, which ``_count_systems`` counts system by
-    system.  The product of degree factorials is capped at
-    ``TRANSITION_MAX_SYSTEMS``.
+    the permutation's cycles, which ``_count_systems`` counts by searching
+    every vertex with a choice but the last and closing that one by
+    Stirling numbers.  The product of degree factorials is capped at
+    ``TRANSITION_MAX_SYSTEMS``, though the search visits only the systems
+    of the other vertices.
     """
     n = graph.num_vertices
     arcs = graph.arcs

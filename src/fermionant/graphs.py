@@ -35,10 +35,12 @@ All graph values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FormatError
-from .matrixfn import Matrix
+
+if TYPE_CHECKING:
+    from .matrixfn import Matrix
 
 HalfEdge = tuple[int, int]  # (edge_id, end) with end in {0, 1}
 
@@ -307,7 +309,10 @@ def adjacency_matrix(graph: Multigraph | Digraph) -> Matrix:
     """Multiplicity-counting adjacency matrix.  For a digraph, entry (u, v)
     is the number of arcs u -> v (loops on the diagonal); for a multigraph,
     entry (u, v) is the number of edges between u and v and the diagonal
-    counts loops once."""
+    counts loops once.  The matrix code is imported here, on first use, so
+    that the graph-only routes never load it."""
+    from .matrixfn import Matrix
+
     n = graph.num_vertices
     m = [[0] * n for _ in range(n)]
     if isinstance(graph, Digraph):

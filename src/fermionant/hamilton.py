@@ -39,7 +39,6 @@ from math import factorial
 
 from .errors import CapacityError, ConsistencyError
 from .graphs import Multigraph, adjacency_matrix
-from .matrixfn import DP_MAX_N, fermionant
 
 HAMILTONIAN_MAX_N = 18
 # Size of the low block packed into one integer (capped at n - 1).  Timed at
@@ -114,7 +113,10 @@ def ham_parity_via_ferm2(graph: Multigraph) -> int:
     """Hamiltonian-cycle parity of a simple graph with n >= 5, read off
     Ferm_2 of the adjacency matrix.  Raises ConsistencyError if the computed
     fermionant is not divisible by 4 (impossible for valid input).  The dp
-    bound is checked before the n x n matrix is built."""
+    bound is checked before the n x n matrix is built.  The matrix code is
+    imported on first use, so that counting cycles never loads it."""
+    from .matrixfn import DP_MAX_N, fermionant
+
     n = graph.num_vertices
     if n <= 4:
         raise ValueError(f"parity relation requires more than 4 vertices, got {n}")

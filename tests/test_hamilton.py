@@ -118,10 +118,12 @@ def test_parity_examples():
 
 
 def test_mod4_guard_reports_consistency_error(monkeypatch):
-    import fermionant.hamilton as hamilton_module
+    # ham_parity_via_ferm2 imports the dp from matrixfn on each call, so the
+    # dp is patched where it is defined
+    import fermionant.matrixfn as matrixfn_module
     from fermionant import ConsistencyError
 
-    monkeypatch.setattr(hamilton_module, "fermionant", lambda *a, **kw: 5)
+    monkeypatch.setattr(matrixfn_module, "fermionant", lambda *a, **kw: 5)
     with pytest.raises(ConsistencyError, match="divisible by 4"):
         ham_parity_via_ferm2(cycle_graph(5))
 

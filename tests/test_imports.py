@@ -88,3 +88,26 @@ def test_a_fresh_import_lists_and_star_imports_every_public_name():
     assert loaded == ["fermionant"]
     assert set(PUBLIC_NAMES) <= set(listed)
     assert bound == PUBLIC_NAMES
+
+
+def test_graph_only_calls_leave_the_matrix_code_unloaded():
+    """Reading a graph, Tutte, circuit polynomials, Hamiltonian counts and
+    the medial never load the matrix code; the adjacency matrix imports it
+    on first use."""
+    done = run_fresh(
+        "import json, sys\n"
+        "from fermionant import (Multigraph, adjacency_matrix, circuit_partition_poly,\n"
+        "    count_hamiltonian_cycles, generate_plane_graph, medial, read_graph, tutte, write_graph)\n"
+        "k5 = Multigraph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)))\n"
+        "k5 = read_graph(write_graph(k5))\n"
+        "tutte(k5); circuit_partition_poly(medial(generate_plane_graph(1, 6)))\n"
+        "cycles = count_hamiltonian_cycles(k5)\n"
+        "matrix_code = ('fermionant.matrixfn', 'fermionant.characters', 'fermionant.partitions')\n"
+        "loaded = [m for m in matrix_code if m in sys.modules]\n"
+        "matrix = adjacency_matrix(k5)\n"
+        "print(json.dumps([loaded, type(matrix) is sys.modules['fermionant.matrixfn'].Matrix, cycles]))"
+    )
+    loaded, is_matrix, cycles = json.loads(done.stdout)
+    assert loaded == []
+    assert is_matrix
+    assert cycles == 12
