@@ -1,6 +1,7 @@
 """Timings of the dp fermionant, stdlib only: on dense matrices (entries
 drawn uniformly from +-1, +-2, +-3, seeded) and on the line digraphs of the
-medial graphs of seeded plane graphs (two nonzeros a row).
+medial graphs of seeded plane graphs (two nonzeros a row); and of the
+Hamiltonian-cycle count.
 
     python3 scripts/dp_timings.py levels [H ...]
         For each h (default 4..10), the cost of one cover level with h
@@ -25,6 +26,12 @@ medial graphs of seeded plane graphs (two nonzeros a row).
         (n = 2 * EDGES): the cycle sums from a cold memo, then the cover for
         k = 2, timed apart, each reported as the median and max over the
         graphs.
+    python3 scripts/dp_timings.py hamilton [N]
+        ``count_hamiltonian_cycles`` at cap N (default 18, the largest n it
+        takes) on K_{N-4}, K_{N-2}, K_N, K_{N/2-1,N/2-1} and K_{N/2,N/2},
+        vertices relabelled at random (seeded), and on G(N, 0.2) and
+        G(N, 0.5), seeds 1 and 2: for each graph, the count, the tracemalloc
+        peak of a first call and the time of a second call.
 
 Each line is one JSON object on stdout.
 """
@@ -38,12 +45,21 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from fermionant import Matrix, fermionant, generate_plane_graph, matrixfn, medial_line_adjacency  # noqa: E402
+from fermionant import (  # noqa: E402
+    Matrix,
+    Multigraph,
+    count_hamiltonian_cycles,
+    fermionant,
+    generate_plane_graph,
+    matrixfn,
+    medial_line_adjacency,
+)
 
 ENTRIES = (1, -1, 2, -2, 3, -3)
 
@@ -116,6 +132,37 @@ def time_medial(edges: int, graphs: int = 20) -> None:
     print(json.dumps(row), flush=True)
 
 
+def hamilton_graphs(cap: int) -> list[tuple[str, Multigraph]]:
+    """(name, graph) for the hamilton mode: the complete and complete
+    bipartite graphs relabelled at random (seeded), then G(cap, p)."""
+    shapes = [(f"K{n}", n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+              for n in (cap - 4, cap - 2, cap)]
+    shapes += [(f"K{a},{a}", 2 * a, [(u, a + v) for u in range(a) for v in range(a)])
+               for a in (cap // 2 - 1, cap // 2)]
+    graphs = []
+    for name, n, pairs in shapes:
+        label = random.Random(f"dp-timings-hamilton-{name}").sample(range(n), n)
+        graphs.append((name, Multigraph(n, tuple((label[u], label[v]) for u, v in pairs))))
+    for p in (0.2, 0.5):
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            edges = tuple((u, v) for u in range(cap) for v in range(u + 1, cap) if rng.random() < p)
+            graphs.append((f"G({cap},{p}) seed {seed}", Multigraph(cap, edges)))
+    return graphs
+
+
+def time_hamilton(cap: int) -> None:
+    for name, graph in hamilton_graphs(cap):
+        tracemalloc.start()
+        cycles = count_hamiltonian_cycles(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        row = {"graph": name, "n": graph.num_vertices, "cycles": cycles,
+               "seconds": round(_best_of(1, lambda: count_hamiltonian_cycles(graph)), 5),
+               "traced_peak_mb": round(peak / 2**20, 3)}
+        print(json.dumps(row), flush=True)
+
+
 def main(argv: list[str]) -> None:
     mode, args = (argv[0], [int(x) for x in argv[1:]]) if argv else ("", [])
     if mode == "levels":
@@ -128,6 +175,8 @@ def main(argv: list[str]) -> None:
     elif mode == "medial":
         for edges in args or [7, 8, 9, 10]:
             time_medial(edges)
+    elif mode == "hamilton" and len(args) <= 1:
+        time_hamilton(args[0] if args else 18)
     else:
         raise SystemExit(__doc__)
 

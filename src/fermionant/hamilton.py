@@ -7,22 +7,28 @@ vertices 1..low form a fixed low block, and one Python integer carries the
 path counts of all 2^low subsets of that block side by side.  The state
 maps (set of high vertices visited, end vertex) to that integer, whose digit
 s (a fixed-width field at bit offset width * s) counts the paths from 0 to
-the end that visit exactly the high set and the low vertices in s.  One
-round adds one vertex to every path, and only the current round is kept:
+the end that visit exactly the high set and the low vertices in s.
 
-* extending to a high vertex w moves the whole integer, unchanged, to
-  (high + w, w);
-* extending to low vertex w keeps the digits whose subset lacks w and
-  shifts them up by width * 2^(w-1) places, so digit s lands on s + {w}.
+The high sets are settled one at a time in numeric order, so each comes
+after all of its subsets.  A set's paths that end at a high vertex (or the
+empty path at 0) arrive from smaller sets.  Closure rounds then add the low
+vertices: a round steps only the paths that the last round made, each to a
+low neighbour w, keeping the digits whose subset lacks w and shifting them
+up by width * 2^(w-1) places, so digit s lands on s + {w}.  A path is made in
+one round, the one numbered by the low vertices after its last high one, so
+the rounds' sums count each path once.  Only then does each (set, end) take
+its high steps, once: stepping to high vertex w moves the whole integer,
+unchanged, to (set + w, w).  The full high set comes last; its paths that
+end next to 0 close into each cycle once per direction.
 
-A digit below the top one counts orderings of at most n - 3 interior
-vertices, so (n-3)! bounds it and the width is its bit length: adding two
-packed integers never carries one digit into the next.  The top digit (the
-whole low block) may grow past the width, but it sits highest, with nothing
-above it to carry into, and no keep pattern covers it, so no low step moves
-it.  After n - 1 rounds every path is Hamiltonian and lives in the top
-digit; closing the paths whose end is adjacent to 0 gives each cycle once
-per direction.
+A digit below the top one (whose subset lacks a low vertex) counts the
+paths on one vertex set that end at one end, orderings of at most n - 3
+interior vertices, so (n-3)! bounds it and the width is its bit length:
+adding integers never carries one digit into the next.  Different closure
+rounds make different paths, so their sums stay within that count.  The
+top digit (the whole low block) may grow past the width, but it sits
+highest, with nothing above it to carry into, and no keep mask covers it,
+so no low step moves it.
 
 ``ham_parity_via_ferm2`` uses the congruence for simple graphs on more than
 4 vertices: nonzero fermionant contributions come from vertex-disjoint
@@ -42,9 +48,11 @@ from .graphs import Multigraph, adjacency_matrix
 
 HAMILTONIAN_MAX_N = 18
 # Size of the low block packed into one integer (capped at n - 1).  Timed at
-# 6, 7 and 8 on K14, K16, K18, K8,8, K9,9 and seeded G(18, p), 7 was at most
-# 26% slower than the fastest of the three on any graph, 8 up to 37% and 6 up
-# to 56%.
+# 5 to 9 on K14, K16, K18, K8,8, K9,9 (relabelled) and G(18, p), p = 0.2 and
+# 0.5, seeds 1 and 2 (best of 5 calls), 6 and 7 were within 5% and 18% of the
+# fastest on every graph, and a second run of the two put them within 2% and
+# 6%, each of them slower on some graph, so 7 stays; 5 was up to 36% slower,
+# 8 up to 41% and 9 up to 2.3 times.
 _LOW_BLOCK = 7
 
 
@@ -75,38 +83,52 @@ def count_hamiltonian_cycles(graph: Multigraph) -> int:
     # i.e. runs of 2^j digits repeating with period 2^(j+1) digits
     keep = [((1 << (width << j)) - 1) * ((1 << span) - 1) // ((1 << (width << (j + 1))) - 1)
             for j in range(low)]
-    # a key is (high set << tag) | end, high vertex w taking bit w of the set
-    tag = n.bit_length()
-    end_mask = (1 << tag) - 1
+    # high vertex w is bit w - low - 1 of a high set
     high_steps = []
     low_steps = []
     for v in range(n):
-        high_steps.append([(1 << (w + tag), 1 << (w + tag) | w)
-                           for w in range(low + 1, n) if adj[v] >> w & 1])
+        high_steps.append([(1 << (w - low - 1), w) for w in range(low + 1, n) if adj[v] >> w & 1])
         low_steps.append([(w, keep[w - 1], width << (w - 1))
                           for w in range(1, low + 1) if adj[v] >> w & 1])
-    paths = {0: 1}
-    for _ in range(n - 1):
-        longer: dict[int, int] = {}
-        get = longer.get
-        while paths:  # popping frees each round as the next one grows
-            key, packed = paths.popitem()
-            v = key & end_mask
-            base = key ^ v
-            for bit, step in high_steps[v]:
-                if not base & bit:
-                    k = base | step
-                    longer[k] = get(k, 0) + packed
-            for w, mask, shift in low_steps[v]:
-                moved = packed & mask
-                if moved:
-                    k = base | w
-                    longer[k] = get(k, 0) + (moved << shift)
-        paths = longer
+    full = (1 << (n - 1 - low)) - 1
     top = width * ((1 << low) - 1)
-    total = sum(packed >> top for key, packed in paths.items() if adj[key & end_mask] & 1)
-    # each cycle was traced in both directions
-    return total // 2
+    # arrivals[high][end]: the paths whose last vertex, end, is high (or the
+    # empty path at 0), pushed by the high steps of smaller sets
+    arrivals: dict[int, dict[int, int]] = {0: {0: 1}}
+    for high in range(full + 1):  # every subset of a set comes before it
+        ends = arrivals.pop(high, None)
+        if ends is None:
+            continue
+        # closure: each round steps only the paths the last round made to
+        # a low vertex, so a path is made once, in the round numbered by
+        # the low vertices after its last high one
+        made = ends
+        for _ in range(low):
+            fresh: dict[int, int] = {}
+            get = fresh.get
+            for v, packed in made.items():
+                for w, mask, shift in low_steps[v]:
+                    moved = packed & mask
+                    if moved:
+                        fresh[w] = get(w, 0) + (moved << shift)
+            if not fresh:
+                break
+            for w, packed in fresh.items():
+                ends[w] = ends.get(w, 0) + packed
+            made = fresh
+        if high == full:
+            total = sum(packed >> top for v, packed in ends.items() if adj[v] & 1)
+            # each cycle was traced in both directions
+            return total // 2
+        for v, packed in ends.items():
+            for bit, w in high_steps[v]:
+                if not high & bit:
+                    later = arrivals.get(high | bit)
+                    if later is None:
+                        arrivals[high | bit] = {w: packed}
+                    else:
+                        later[w] = later.get(w, 0) + packed
+    return 0
 
 
 def ham_parity_via_ferm2(graph: Multigraph) -> int:

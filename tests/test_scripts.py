@@ -48,3 +48,21 @@ def test_dp_timings_medial_prints_one_json_line_per_edge_count():
     assert [(row["edges"], row["n"], row["graphs"]) for row in rows] == [(4, 8, 20)]
     for name in ("cycle_sums", "cover"):
         assert 0 <= rows[0][f"{name}_median_s"] <= rows[0][f"{name}_max_s"]
+
+
+def test_dp_timings_hamilton_prints_one_json_line_per_graph():
+    # the hamilton mode times count_hamiltonian_cycles on complete,
+    # complete bipartite and seeded random graphs at a given cap
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "dp_timings.py"), "hamilton", "8"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [row["graph"] for row in rows] == [
+        "K4", "K6", "K8", "K3,3", "K4,4",
+        "G(8,0.2) seed 1", "G(8,0.2) seed 2", "G(8,0.5) seed 1", "G(8,0.5) seed 2",
+    ]
+    # (n-1)!/2 cycles in K_n, a!(a-1)!/2 in K_{a,a}, whatever the labelling
+    assert [row["cycles"] for row in rows[:5]] == [3, 60, 2520, 6, 72]
+    for row in rows:
+        assert isinstance(row["seconds"], float) and isinstance(row["traced_peak_mb"], float)
