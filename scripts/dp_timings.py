@@ -1,7 +1,7 @@
 """Timings of the dp fermionant, stdlib only: on dense matrices (entries
 drawn uniformly from +-1, +-2, +-3, seeded) and on the line digraphs of the
-medial graphs of seeded plane graphs (two nonzeros a row); and of the
-Hamiltonian-cycle count.
+medial graphs of seeded plane graphs (two nonzeros a row); of the
+Hamiltonian-cycle count; and of the two Tutte routes.
 
     python3 scripts/dp_timings.py levels [H ...]
         For each h (default 4..10), the cost of one cover level with h
@@ -32,6 +32,14 @@ Hamiltonian-cycle count.
         vertices relabelled at random (seeded), and on G(N, 0.2) and
         G(N, 0.5), seeds 1 and 2: for each graph, the count, the tracemalloc
         peak of a first call and the time of a second call.
+    python3 scripts/dp_timings.py tutte [GRAPHS]
+        Both Tutte routes, ``tutte`` (deletion-contraction) and
+        ``tutte_subgraph_sum``, on GRAPHS (default 30) seeded graphs of each
+        of two kinds, 14 edges each: multigraphs on 6 vertices, drawn as the
+        benchmark's graph-poly workload draws them (no loops), and simple
+        graphs on 7 vertices; then on the fat triangle, classes of 5, 5 and
+        4 parallel edges.  One line per kind: the median and max time of
+        one call of each route over its graphs, which must agree.
 
 Each line is one JSON object on stdout.
 """
@@ -59,6 +67,8 @@ from fermionant import (  # noqa: E402
     generate_plane_graph,
     matrixfn,
     medial_line_adjacency,
+    tutte,
+    tutte_subgraph_sum,
 )
 
 ENTRIES = (1, -1, 2, -2, 3, -3)
@@ -163,6 +173,43 @@ def time_hamilton(cap: int) -> None:
         print(json.dumps(row), flush=True)
 
 
+def tutte_graphs(graphs: int) -> list[tuple[str, list[Multigraph]]]:
+    """(kind, graphs) for the tutte mode, 14 edges each."""
+    multigraphs, simple = [], []
+    k7 = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    for seed in range(graphs):
+        rng = random.Random(f"dp-timings-tutte-multigraph-{seed}")
+        pairs = []
+        while len(pairs) < 14:
+            u, v = rng.randrange(6), rng.randrange(6)
+            if u != v:
+                pairs.append((min(u, v), max(u, v)))
+        multigraphs.append(Multigraph(6, tuple(pairs)))
+        rng = random.Random(f"dp-timings-tutte-simple-{seed}")
+        simple.append(Multigraph(7, tuple(rng.sample(k7, 14))))
+    fat = Multigraph(3, ((0, 1),) * 5 + ((1, 2),) * 5 + ((0, 2),) * 4)
+    return [("multigraph 6 vertices", multigraphs), ("simple 7 vertices", simple),
+            ("fat triangle 5,5,4", [fat])]
+
+
+def time_tutte(graphs: int) -> None:
+    for kind, batch in tutte_graphs(graphs):
+        times: dict[str, list[float]] = {"tutte": [], "subgraph_sum": []}
+        for g in batch:
+            values = []
+            for name, route in (("tutte", tutte), ("subgraph_sum", tutte_subgraph_sum)):
+                t0 = time.perf_counter()
+                values.append(route(g))
+                times[name].append(time.perf_counter() - t0)
+            if values[0] != values[1]:
+                raise SystemExit(f"the Tutte routes disagree on {g}")
+        row: dict[str, object] = {"graphs": kind, "count": len(batch), "edges": 14}
+        for name, ts in times.items():
+            row[f"{name}_median_s"] = round(statistics.median(ts), 5)
+            row[f"{name}_max_s"] = round(max(ts), 5)
+        print(json.dumps(row), flush=True)
+
+
 def main(argv: list[str]) -> None:
     mode, args = (argv[0], [int(x) for x in argv[1:]]) if argv else ("", [])
     if mode == "levels":
@@ -177,6 +224,8 @@ def main(argv: list[str]) -> None:
             time_medial(edges)
     elif mode == "hamilton" and len(args) <= 1:
         time_hamilton(args[0] if args else 18)
+    elif mode == "tutte" and len(args) <= 1:
+        time_tutte(args[0] if args else 30)
     else:
         raise SystemExit(__doc__)
 

@@ -6,7 +6,8 @@ The Tutte polynomial is computed two ways: a spanning-subgraph sum
     T(G; x, y) = sum over S subset of E of
                  (x-1)^(c(S) - c(G)) * (y-1)^(c(S) + |S| - |V|)
 
-used as the oracle, and the usual deletion-contraction recursion.  c counts
+used as the oracle, and deletion-contraction, which steps a whole class of
+parallel edges at a time (Haggard, Pearce and Royle, ACM TOMS 2010).  c counts
 connected components, isolated vertices included; c(S) + |S| - |V| is the
 total excess of the spanning subgraph (V, S), the number of independent
 cycles in it.  The sum is tallied by a transfer over the edges whose state
@@ -40,6 +41,7 @@ from .graphs import (
     Multigraph,
     PlaneGraph,
     _fundamental_cycles,
+    _spanning_forest,
     connected_components,
 )
 from .polynomials import BivarPolynomial, UniPolynomial
@@ -146,10 +148,22 @@ def _bridges(num_vertices: int, edges: list[tuple[int, int]]) -> set[int]:
 
 
 def tutte(graph: Multigraph) -> BivarPolynomial:
-    """Tutte polynomial by deletion-contraction.
+    """Tutte polynomial by deletion-contraction, one step per parallel class.
 
-    Recurses on the highest-id edge that is neither a loop nor a bridge;
-    once only loops and bridges remain the value is x^bridges * y^loops.
+    Picks the highest-id edge e = {u, v} that is neither a loop nor a
+    bridge and steps its whole class P, the p edges with ends {u, v}, at
+    once; G/P merges u and v and drops all of P.  Deleting the edges of P one
+    at a time leaves p - 1, ..., 0 of them, and contracting each turns the
+    others into loops, so
+
+        T(G) = T(G - P) + (1 + y + ... + y^(p-1)) * T(G/P)
+
+    when u and v stay connected in G - P, and otherwise (a bridge class,
+    p >= 2; the last edge of P is a bridge once the others are gone)
+
+        T(G) = (x + y + ... + y^(p-1)) * T(G/P).
+
+    Once only loops and bridges remain the value is x^bridges * y^loops.
     Isolated vertices leave T unchanged, so the recursion sees only the
     vertices with an edge, numbered in order of first appearance.
     Deterministic, no isomorphism caching.
@@ -171,16 +185,23 @@ def tutte(graph: Multigraph) -> BivarPolynomial:
         if pick < 0:
             return BivarPolynomial.monomial(len(bridges), loops)
         u, v = edges[pick]
-        deleted = edges[:pick] + edges[pick + 1 :]
         lo, hi = min(u, v), max(u, v)
+        deleted = [(a, b) for a, b in edges if (min(a, b), max(a, b)) != (lo, hi)]
+        p = len(edges) - len(deleted)
 
         def relabel(w: int) -> int:
             if w == hi:
                 return lo
             return w - 1 if w > hi else w
 
-        contracted = [(relabel(a), relabel(b)) for a, b in deleted]
-        return rec(n, deleted) + rec(n - 1, contracted)
+        contracted = rec(n - 1, [(relabel(a), relabel(b)) for a, b in deleted])
+        if p > 1:
+            loop_terms = {(0, j): 1 for j in range(1, p)}
+            labels, _ = _spanning_forest(n, deleted)
+            if labels[lo] != labels[hi]:  # a bridge class
+                return BivarPolynomial({(1, 0): 1, **loop_terms}) * contracted
+            contracted = BivarPolynomial({(0, 0): 1, **loop_terms}) * contracted
+        return rec(n, deleted) + contracted
 
     label: dict[int, int] = {}
     edges = [(label.setdefault(u, len(label)), label.setdefault(v, len(label))) for u, v in graph.edges]

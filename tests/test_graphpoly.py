@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from fermionant import (
+    BivarPolynomial,
     Digraph,
     Multigraph,
     PlaneGraph,
@@ -117,6 +119,91 @@ def test_isolated_vertices_are_dropped_by_both_tutte_routes():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 10**6
+
+
+def fat_edge(p: int) -> BivarPolynomial:
+    """x + y + ... + y^(p-1), the Tutte polynomial of p parallel edges."""
+    return BivarPolynomial({(1, 0): 1, **{(0, j): 1 for j in range(1, p)}})
+
+
+def test_tutte_parallel_classes_closed_forms():
+    """p parallel edges give x + y + ... + y^(p-1), a path of classes the
+    product of those sums, and two triangles joined by a class of 3 (a
+    bridge class: G - P falls apart) T(triangle)^2 * (x + y + y^2).  The
+    class is stepped first in the order given (its ids are highest), and
+    reordered and reoriented edges give the same polynomial."""
+    for p in range(1, 9):
+        assert tutte(Multigraph(2, ((0, 1),) * p)) == fat_edge(p), p
+    classes = (3, 1, 4, 2, 4)
+    path = [(i, i + 1) for i, p in enumerate(classes) for _ in range(p)]
+    path_poly = BivarPolynomial.monomial(0, 0)
+    for p in classes:
+        path_poly = path_poly * fat_edge(p)
+    triangle = tutte(cycle_graph(3))
+    joined = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] + [(2, 3)] * 3
+    rng = random.Random(34)
+    for n, edges, expected in ((6, path, path_poly), (6, joined, triangle * triangle * fat_edge(3))):
+        assert tutte(Multigraph(n, tuple(edges))) == expected
+        for _ in range(6):
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            rng.shuffle(edges)
+            assert tutte(Multigraph(n, tuple(edges))) == expected, edges
+
+
+def test_tutte_matches_subgraph_sum_on_multigraphs_with_classes():
+    """Seeded multigraphs of up to 14 edges, drawn a class at a time, so
+    they mix loops, big classes, bridge classes (a class of p >= 2 whose
+    removal splits the graph), isolated vertices and the 14-edge cap."""
+    rng = random.Random(35)
+    seen = set()
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        size = rng.randint(0, 14)
+        edges: list[tuple[int, int]] = []
+        while len(edges) < size:
+            pair = (rng.randrange(n), rng.randrange(n))
+            edges += [pair] * min(rng.choice((1, 1, 2, 3, 5)), size - len(edges))
+        rng.shuffle(edges)
+        g = Multigraph(n, tuple(edges))
+        assert tutte(g) == tutte_subgraph_sum(g), (n, edges)
+        c = _component_count(n, edges)
+        class_sizes = Counter((min(u, v), max(u, v)) for u, v in edges if u != v)
+        features = {
+            "loop": any(u == v for u, v in edges),
+            "big class": any(p >= 3 for p in class_sizes.values()),
+            "bridge class": any(
+                p >= 2 and _component_count(n, [e for e in edges if {*e} != {*pair}]) > c
+                for pair, p in class_sizes.items()
+            ),
+            "isolated": len({w for e in edges for w in e}) < n,
+            "cap": size == 14,
+        }
+        seen.update(name for name, present in features.items() if present)
+    assert seen == {"loop", "big class", "bridge class", "isolated", "cap"}
+
+
+def test_tutte_steps_each_parallel_class_once(monkeypatch):
+    """Each recursion node calls ``_bridges`` once, so wrapping it counts
+    the nodes.  The fat triangle with classes 5, 5 and 4 takes 6 of them,
+    and p parallel edges 2; stepping one edge at a time took 129 and
+    2p - 1."""
+    from fermionant import graphpoly
+
+    fat = Multigraph(3, ((0, 1),) * 5 + ((1, 2),) * 5 + ((0, 2),) * 4)
+    expected = tutte_subgraph_sum(fat)
+    calls = []
+    bridges = graphpoly._bridges
+
+    def counted(n: int, edges: list[tuple[int, int]]) -> set[int]:
+        calls.append(n)
+        return bridges(n, edges)
+
+    monkeypatch.setattr(graphpoly, "_bridges", counted)
+    assert tutte(fat) == expected
+    assert len(calls) < 20
+    calls.clear()
+    assert tutte(Multigraph(2, ((0, 1),) * 8)) == fat_edge(8)
+    assert len(calls) == 2
 
 
 def test_subgraph_tally_matches_brute_force():

@@ -641,6 +641,32 @@ def test_dp_matches_independent_oracles_at_n_10_to_13(packed_levels, fold_tops):
     assert all(fermionant(zero_row, k, "dp") == 0 for k in (2, 50))
 
 
+def test_dp_meets_the_three_congruences_at_n_14_to_16():
+    """f(z) = sum over permutations of z^cycles * prod a has integer
+    coefficients and Ferm_k = (-1)^n f(-k), so Ferm_k = Ferm_j (mod k - j).
+    Three j need no dp: j = 1 gives the Bareiss determinant, j = 0 gives 0
+    (every permutation has a cycle), j = -1 gives (-1)^n times the Ryser
+    permanent.  Neither kernel shares code with the dp, and large |k| keeps
+    the moduli from being vacuous, as k - 1 = 1 is at k = 2."""
+    rng = random.Random(113)
+    rows = [list(r) for r in random_matrix(rng, 14).rows]
+    rows[9] = [0] * 14
+    zero_row = Matrix(tuple(map(tuple, rows)))
+    # rank 4: a 15x4 by 4x15 product
+    u, v = random_matrix(rng, 15).rows, random_matrix(rng, 15).rows
+    rank4 = Matrix(tuple(tuple(sum(u[i][t] * v[t][j] for t in range(4)) for j in range(15)) for i in range(15)))
+    dense = [random_matrix(rng, n) for n in (14, 15, 16)]
+    for a in (zero_row, rank4, *dense):
+        n, det, perm = a.n, determinant(a), permanent(a)
+        for k in (2, 3, 50, -50):
+            ferm = fermionant(a, k, "dp")
+            assert (ferm - det) % (k - 1) == 0, (n, k)
+            assert ferm % k == 0, (n, k)
+            assert (ferm - (-1) ** n * perm) % (k + 1) == 0, (n, k)
+    assert determinant(rank4) == 0 and permanent(zero_row) == 0
+    assert all(determinant(a) != 0 and permanent(a) != 0 for a in dense)
+
+
 def test_colouring_oracle_matches_definition():
     rng = random.Random(109)
     for n in range(7):

@@ -66,3 +66,18 @@ def test_dp_timings_hamilton_prints_one_json_line_per_graph():
     assert [row["cycles"] for row in rows[:5]] == [3, 60, 2520, 6, 72]
     for row in rows:
         assert isinstance(row["seconds"], float) and isinstance(row["traced_peak_mb"], float)
+
+
+def test_dp_timings_tutte_prints_one_json_line_per_graph_kind():
+    # the tutte mode times both Tutte routes and stops if they disagree
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "dp_timings.py"), "tutte", "2"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(row["graphs"], row["count"]) for row in rows] == [
+        ("multigraph 6 vertices", 2), ("simple 7 vertices", 2), ("fat triangle 5,5,4", 1),
+    ]
+    for row in rows:
+        for name in ("tutte", "subgraph_sum"):
+            assert 0 <= row[f"{name}_median_s"] <= row[f"{name}_max_s"]
