@@ -41,7 +41,10 @@ Hamiltonian-cycle count; and of the two Tutte routes.
         4 parallel edges.  One line per kind: the median and max time of
         one call of each route over its graphs, which must agree.
 
-Each line is one JSON object on stdout.
+Each line is one JSON object on stdout.  The package timed is the first
+``fermionant`` on ``sys.path``: this checkout's ``src`` is appended to it, so
+``PYTHONPATH=<other tree>/src`` times that tree instead (the dense mode's
+fresh processes inherit it).  The timed package's path goes to stderr.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC))
+sys.path.append(str(SRC))
 
 from fermionant import (  # noqa: E402
     Matrix,
@@ -212,6 +215,7 @@ def time_tutte(graphs: int) -> None:
 
 def main(argv: list[str]) -> None:
     mode, args = (argv[0], [int(x) for x in argv[1:]]) if argv else ("", [])
+    print(f"timing {Path(matrixfn.__file__).parent}", file=sys.stderr, flush=True)
     if mode == "levels":
         time_levels(args or list(range(4, 11)))
     elif mode == "dense":

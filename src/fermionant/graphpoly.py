@@ -7,7 +7,8 @@ The Tutte polynomial is computed two ways: a spanning-subgraph sum
                  (x-1)^(c(S) - c(G)) * (y-1)^(c(S) + |S| - |V|)
 
 used as the oracle, and deletion-contraction, which steps a whole class of
-parallel edges at a time (Haggard, Pearce and Royle, ACM TOMS 2010).  c counts
+parallel edges at a time by one rule, bridge classes included, until only
+loops remain (Haggard, Pearce and Royle, ACM TOMS 2010).  c counts
 connected components, isolated vertices included; c(S) + |S| - |V| is the
 total excess of the spanning subgraph (V, S), the number of independent
 cycles in it.  The sum is tallied by a transfer over the edges whose state
@@ -40,7 +41,6 @@ from .graphs import (
     Digraph,
     Multigraph,
     PlaneGraph,
-    _fundamental_cycles,
     _spanning_forest,
     connected_components,
 )
@@ -136,37 +136,26 @@ def tutte_subgraph_sum(graph: Multigraph) -> BivarPolynomial:
     return BivarPolynomial(coeffs)
 
 
-def _bridges(num_vertices: int, edges: list[tuple[int, int]]) -> set[int]:
-    """Ids of bridge edges, the edges on no cycle.  Every edge outside the
-    spanning forest lies on its own fundamental cycle, so these are the
-    forest edges that no fundamental cycle covers."""
-    cycles = _fundamental_cycles(num_vertices, edges)
-    on_cycle = 0
-    for mask in cycles:
-        on_cycle |= mask
-    return {eid for eid in range(len(edges)) if not on_cycle >> eid & 1}
-
-
 def tutte(graph: Multigraph) -> BivarPolynomial:
     """Tutte polynomial by deletion-contraction, one step per parallel class.
 
-    Picks the highest-id edge e = {u, v} that is neither a loop nor a
-    bridge and steps its whole class P, the p edges with ends {u, v}, at
-    once; G/P merges u and v and drops all of P.  Deleting the edges of P one
-    at a time leaves p - 1, ..., 0 of them, and contracting each turns the
-    others into loops, so
+    Takes the highest-id non-loop edge e = {u, v} and steps its whole class
+    P, the p edges with ends {u, v}, at once; G/P merges u and v and drops
+    all of P.  Deleting the edges of P one at a time leaves p - 1, ..., 0 of
+    them, and contracting each turns the others into loops, so
 
         T(G) = T(G - P) + (1 + y + ... + y^(p-1)) * T(G/P)
 
-    when u and v stay connected in G - P, and otherwise (a bridge class,
-    p >= 2; the last edge of P is a bridge once the others are gone)
+    when u and v stay connected in G - P, and otherwise (a bridge class:
+    the last edge of P is a bridge once the others are gone)
 
-        T(G) = (x + y + ... + y^(p-1)) * T(G/P).
+        T(G) = (x + y + ... + y^(p-1)) * T(G/P),
 
-    Once only loops and bridges remain the value is x^bridges * y^loops.
-    Isolated vertices leave T unchanged, so the recursion sees only the
-    vertices with an edge, numbered in order of first appearance.
-    Deterministic, no isomorphism caching.
+    which for p = 1 is x * T(G/e).  One spanning forest of G - P tells the
+    two apart.  Once only loops remain the value is y^loops.  Isolated
+    vertices leave T unchanged, so the recursion sees only the vertices
+    with an edge, numbered in order of first appearance.  Deterministic, no
+    isomorphism caching.
     """
     if graph.num_edges > TUTTE_MAX_EDGES:
         raise CapacityError(
@@ -174,34 +163,26 @@ def tutte(graph: Multigraph) -> BivarPolynomial:
         )
 
     def rec(n: int, edges: list[tuple[int, int]]) -> BivarPolynomial:
-        loops = sum(1 for u, v in edges if u == v)
-        bridges = _bridges(n, edges)
-        pick = -1
-        for eid in range(len(edges) - 1, -1, -1):
-            u, v = edges[eid]
-            if u != v and eid not in bridges:
-                pick = eid
-                break
+        pick = len(edges) - 1
+        while pick >= 0 and edges[pick][0] == edges[pick][1]:
+            pick -= 1
         if pick < 0:
-            return BivarPolynomial.monomial(len(bridges), loops)
+            return BivarPolynomial.monomial(0, len(edges))
         u, v = edges[pick]
         lo, hi = min(u, v), max(u, v)
         deleted = [(a, b) for a, b in edges if (min(a, b), max(a, b)) != (lo, hi)]
-        p = len(edges) - len(deleted)
+        loop_terms = {(0, j): 1 for j in range(1, len(edges) - len(deleted))}
 
         def relabel(w: int) -> int:
             if w == hi:
                 return lo
             return w - 1 if w > hi else w
 
+        labels, _ = _spanning_forest(n, deleted)
         contracted = rec(n - 1, [(relabel(a), relabel(b)) for a, b in deleted])
-        if p > 1:
-            loop_terms = {(0, j): 1 for j in range(1, p)}
-            labels, _ = _spanning_forest(n, deleted)
-            if labels[lo] != labels[hi]:  # a bridge class
-                return BivarPolynomial({(1, 0): 1, **loop_terms}) * contracted
-            contracted = BivarPolynomial({(0, 0): 1, **loop_terms}) * contracted
-        return rec(n, deleted) + contracted
+        if labels[lo] != labels[hi]:  # a bridge class
+            return BivarPolynomial({(1, 0): 1, **loop_terms}) * contracted
+        return rec(n, deleted) + BivarPolynomial({(0, 0): 1, **loop_terms}) * contracted
 
     label: dict[int, int] = {}
     edges = [(label.setdefault(u, len(label)), label.setdefault(v, len(label))) for u, v in graph.edges]

@@ -27,7 +27,7 @@ Face tracing has one home here: ``faces`` and the plane-graph generators
 (on the rotation lists of an embedding under construction) share one walk.
 Connectivity has one home here too: one depth-first spanning forest gives
 the component labels and counts, and its fundamental cycles, built only for
-the bridge test and the bicycle space that read them.
+the bicycle space that reads them.
 
 All graph values are immutable; operations are pure functions.
 """

@@ -15,6 +15,7 @@ from fermionant import (
 )
 
 from conftest import single_edge_plane, loop_plane
+from oracles import _component_count
 
 
 def test_plane_determinism_and_minimal():
@@ -50,9 +51,11 @@ def test_plane_family_coverage():
             seen_disconnected = True
         if g.num_edges == g.num_vertices - c:
             seen_tree = True
-        from fermionant.graphpoly import _bridges
-
-        if _bridges(g.num_vertices, list(edges)):
+        # a bridge: removing it raises the component count
+        if any(
+            _component_count(g.num_vertices, edges[:e] + edges[e + 1 :]) > c
+            for e in range(len(edges))
+        ):
             seen_bridge = True
     assert seen_loop and seen_parallel and seen_bridge and seen_disconnected and seen_tree
 

@@ -61,41 +61,6 @@ def test_diagonal_matches_full_polynomial(multigraph_fixtures):
                 assert tutte_diagonal(g, x) == tutte(g)(x, x)
 
 
-def test_bridges_match_definition():
-    """A bridge is a non-loop edge whose removal raises the component count;
-    the graphs mix loops, parallel edges, isolated vertices and several
-    components.  The counts come from the oracles' own depth-first search,
-    as ``_bridges`` and ``connected_components`` read one spanning forest."""
-    from fermionant.graphpoly import _bridges
-
-    rng = random.Random(20)
-    seen = set()
-    for trial in range(400):
-        n = rng.randint(1, 9)
-        edges = tuple(
-            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))
-        )
-        if edges and rng.random() < 0.5:
-            edges += (rng.choice(edges),)
-        c = _component_count(n, edges)
-        expected = {
-            e
-            for e, (u, v) in enumerate(edges)
-            if u != v and _component_count(n, edges[:e] + edges[e + 1 :]) > c
-        }
-        assert _bridges(n, list(edges)) == expected, (n, edges)
-        touched = len({w for e in edges for w in e})
-        features = {
-            "bridge": expected,
-            "loop": any(u == v for u, v in edges),
-            "parallel": any(u != v and edges.count((u, v)) > 1 for u, v in edges),
-            "isolated": touched < n,
-            "components": c - (n - touched) > 1,  # components that have edges
-        }
-        seen.update(name for name, present in features.items() if present)
-    assert seen == {"bridge", "loop", "parallel", "isolated", "components"}
-
-
 def test_isolated_vertices_are_dropped_by_both_tutte_routes():
     """Isolated vertices do not change T, and both routes drop them before
     recursing or transferring: K5 spread over 10^4 + 5 vertices gives K5's
@@ -126,12 +91,29 @@ def fat_edge(p: int) -> BivarPolynomial:
     return BivarPolynomial({(1, 0): 1, **{(0, j): 1 for j in range(1, p)}})
 
 
+def shuffled(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``edges`` with the vertices relabelled at random, each edge
+    reoriented at random and the edge order shuffled."""
+    label = rng.sample(range(n), n)
+    out = [(label[v], label[u]) if rng.random() < 0.5 else (label[u], label[v]) for u, v in edges]
+    rng.shuffle(out)
+    return out
+
+
+def random_forest(rng: random.Random, n: int, k: int) -> list[tuple[int, int]]:
+    """k < n edges, each joining a new vertex to one before it: a forest on
+    vertices 0..n-1, relabelled and shuffled by the caller."""
+    joined = sorted(rng.sample(range(1, n), k))
+    return [(rng.randrange(v), v) for v in joined]
+
+
 def test_tutte_parallel_classes_closed_forms():
     """p parallel edges give x + y + ... + y^(p-1), a path of classes the
     product of those sums, and two triangles joined by a class of 3 (a
     bridge class: G - P falls apart) T(triangle)^2 * (x + y + y^2).  The
     class is stepped first in the order given (its ids are highest), and
-    reordered and reoriented edges give the same polynomial."""
+    relabelled vertices, reoriented edges and shuffled ids give the same
+    polynomial."""
     for p in range(1, 9):
         assert tutte(Multigraph(2, ((0, 1),) * p)) == fat_edge(p), p
     classes = (3, 1, 4, 2, 4)
@@ -145,8 +127,7 @@ def test_tutte_parallel_classes_closed_forms():
     for n, edges, expected in ((6, path, path_poly), (6, joined, triangle * triangle * fat_edge(3))):
         assert tutte(Multigraph(n, tuple(edges))) == expected
         for _ in range(6):
-            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
-            rng.shuffle(edges)
+            edges = shuffled(rng, n, edges)
             assert tutte(Multigraph(n, tuple(edges))) == expected, edges
 
 
@@ -183,27 +164,82 @@ def test_tutte_matches_subgraph_sum_on_multigraphs_with_classes():
 
 
 def test_tutte_steps_each_parallel_class_once(monkeypatch):
-    """Each recursion node calls ``_bridges`` once, so wrapping it counts
-    the nodes.  The fat triangle with classes 5, 5 and 4 takes 6 of them,
-    and p parallel edges 2; stepping one edge at a time took 129 and
-    2p - 1."""
+    """Each recursion node with a non-loop edge calls ``_spanning_forest``
+    once, on G - P, so wrapping it counts those nodes.  The fat triangle
+    with classes 5, 5 and 4 takes 4 of them, and p parallel edges 1 (a
+    bridge class); stepping one edge at a time took 129 nodes and 2p - 1."""
     from fermionant import graphpoly
 
     fat = Multigraph(3, ((0, 1),) * 5 + ((1, 2),) * 5 + ((0, 2),) * 4)
     expected = tutte_subgraph_sum(fat)
     calls = []
-    bridges = graphpoly._bridges
+    forest = graphpoly._spanning_forest
 
-    def counted(n: int, edges: list[tuple[int, int]]) -> set[int]:
+    def counted(n: int, edges: list[tuple[int, int]]):
         calls.append(n)
-        return bridges(n, edges)
+        return forest(n, edges)
 
-    monkeypatch.setattr(graphpoly, "_bridges", counted)
+    monkeypatch.setattr(graphpoly, "_spanning_forest", counted)
     assert tutte(fat) == expected
     assert len(calls) < 20
     calls.clear()
     assert tutte(Multigraph(2, ((0, 1),) * 8)) == fat_edge(8)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_tutte_bridges_closed_forms():
+    """Every non-loop edge of a forest is a bridge, so a forest of k edges
+    with l loops gives x^k * y^l; a single bridge joining a class of p to a
+    class of q gives (x + ... + y^(p-1)) * x * (x + ... + y^(q-1)).  Each is
+    checked under relabelled vertices, reoriented edges and shuffled ids."""
+    rng = random.Random(36)
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        k = rng.randint(0, min(n - 1, 11))
+        loops = rng.randint(0, 14 - k)
+        edges = random_forest(rng, n, k) + [(w, w) for w in rng.choices(range(n), k=loops)]
+        expected = BivarPolynomial.monomial(k, loops)
+        for _ in range(3):
+            assert tutte(Multigraph(n, tuple(shuffled(rng, n, edges)))) == expected, (n, edges)
+    for p in range(1, 7):
+        for q in range(1, 7):
+            edges = [(0, 1)] * p + [(1, 2)] + [(2, 3)] * q
+            expected = fat_edge(p) * BivarPolynomial.monomial(1, 0) * fat_edge(q)
+            for _ in range(3):
+                assert tutte(Multigraph(4, tuple(shuffled(rng, 4, edges)))) == expected, (p, q)
+
+
+def test_tutte_matches_subgraph_sum_on_bridge_heavy_multigraphs():
+    """Seeded forests of up to 14 edges with loops and parallel classes
+    added (each extra copy of a forest edge turns its bridge into a class),
+    isolated vertices and several trees, so most steps are bridge classes."""
+    rng = random.Random(37)
+    seen = set()
+    for trial in range(150):
+        n = rng.randint(1, 12)
+        k = rng.randint(0, min(n - 1, 10))
+        edges = random_forest(rng, n, k)
+        while len(edges) < 14 and rng.random() < 0.7:
+            if edges and rng.random() < 0.6:
+                edges += [rng.choice(edges)] * rng.randint(1, min(3, 14 - len(edges)))
+            else:
+                w = rng.randrange(n)
+                edges.append((w, w))
+        edges = shuffled(rng, n, edges)
+        g = Multigraph(n, tuple(edges))
+        assert tutte(g) == tutte_subgraph_sum(g), (n, edges)
+        c = _component_count(n, edges)
+        class_sizes = Counter((min(u, v), max(u, v)) for u, v in edges if u != v)
+        features = {
+            "loop": any(u == v for u, v in edges),
+            "bridge": any(p == 1 for p in class_sizes.values()),
+            "bridge class": any(p >= 2 for p in class_sizes.values()),
+            "isolated": len({w for e in edges for w in e}) < n,
+            "trees": c - (n - len({w for e in edges for w in e})) > 1,
+            "cap": len(edges) == 14,
+        }
+        seen.update(name for name, present in features.items() if present)
+    assert seen == {"loop", "bridge", "bridge class", "isolated", "trees", "cap"}
 
 
 def test_subgraph_tally_matches_brute_force():
@@ -297,18 +333,21 @@ def test_circuit_poly_long_closed_walks():
 
 
 def test_deletion_contraction_consistency():
+    """T(G) = T(G - e) + T(G/e) for an edge e that is neither a loop nor a
+    bridge; an edge is a bridge when removing it raises the component
+    count."""
     rng = random.Random(9)
-    from fermionant.graphpoly import _bridges
-
     for trial in range(30):
         n = rng.randint(3, 5)
         edges = tuple(
             (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(2, 7))
         )
         g = Multigraph(n, edges)
-        bridges = _bridges(n, list(edges))
+        c = _component_count(n, edges)
         candidates = [
-            e for e in range(len(edges)) if edges[e][0] != edges[e][1] and e not in bridges
+            e
+            for e in range(len(edges))
+            if edges[e][0] != edges[e][1] and _component_count(n, edges[:e] + edges[e + 1 :]) == c
         ]
         if not candidates:
             continue

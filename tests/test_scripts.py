@@ -4,6 +4,8 @@ names of the package and so break silently when those are renamed."""
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +83,19 @@ def test_dp_timings_tutte_prints_one_json_line_per_graph_kind():
     for row in rows:
         for name in ("tutte", "subgraph_sum"):
             assert 0 <= row[f"{name}_median_s"] <= row[f"{name}_max_s"]
+
+
+def test_dp_timings_times_the_package_pythonpath_names(tmp_path):
+    # the script appends its own src to sys.path, so a PYTHONPATH naming
+    # another tree's src is the package timed, and its path goes to stderr
+    src = tmp_path / "src"
+    shutil.copytree(SCRIPTS.parent / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "dp_timings.py"), "tutte", "1"],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("timing ")
+    assert Path(line[len("timing "):]).resolve() == (src / "fermionant").resolve()
+    assert [json.loads(row)["count"] for row in done.stdout.splitlines()] == [1, 1, 1]
